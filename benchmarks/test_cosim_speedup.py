@@ -12,8 +12,8 @@ the workload vehicle and to harvest toggle traces for the power study:
   strategy);
 * **compiled** -- the same protocol over the
   :class:`~repro.sim.compiled.ClosedLoopStepper`: settled single-row
-  phases over the struct-of-arrays netlist with packed-integer
-  :class:`~repro.sim.compiled.BusView` memory feeds.
+  phases over the struct-of-arrays netlist (fused-LUT row programs) with
+  packed-integer :class:`~repro.sim.compiled.BusView` memory feeds.
 
 Wall-clocks are best-of-``REPS``; the compiled side is also timed cold
 (schedule lowering included).  The engines must agree *bit-for-bit* --

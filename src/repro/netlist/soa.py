@@ -18,12 +18,14 @@ vector expression instead of a netlist walk.
 
 Two further lowered forms serve the closed-loop paths:
 
-* :meth:`SoaNetlist.pack_levels` merges a level list into
-  :class:`RowOp` *row programs* -- every level collapses into one
-  padded-arity gather (operand columns weighted ``3**k``, padding
-  weighted ``0``), which is what makes settling a **single** value row
-  cheap enough for cycle-at-a-time reactive stepping
-  (:class:`repro.sim.compiled.ClosedLoopStepper`);
+* :meth:`SoaNetlist.pack_levels` fuses a level list into a
+  *fused-LUT row program* (a :class:`RowOp` list): runs of consecutive
+  levels whose gates each depend on at most :data:`FUSE_LEAVES` nets
+  settled before the run merge into one op, every output with its own
+  truth table over those leaves, so a multi-level run settles as one
+  gather, one ``3**k`` weighted sum and one table take.  That is what
+  makes settling a **single** value row cheap enough for cycle-at-a-time
+  reactive stepping (:class:`repro.sim.compiled.ClosedLoopStepper`);
 * :func:`lower_leakage` walks the cell instances once into a
   :class:`LeakageSoa` -- per-instance base-leakage arrays plus, for
   every cell with Liberty-style ``leakage_states``, a dense state table
@@ -72,30 +74,161 @@ class CombGroup:
     in_cols: list = field(default_factory=list)
 
 
+#: Widest ternary leaf set a fused row op may key on: every output of
+#: a fused op is a table over at most this many settled nets, so its
+#: table has at most ``3**5 = 243`` entries.
+FUSE_LEAVES = 5
+
+
 @dataclass
 class RowOp:
-    """One merged level of a packed *row program*.
+    """One op of a fused-LUT row program: one or more merged levels.
 
-    Every gate of the level -- whatever its arity -- is padded to the
-    level's maximum arity ``A``: ``cols`` is ``(A, gates)`` operand net
-    indices (pads point at net 0), ``weights`` is ``(A, gates)`` ternary
-    weights (``3**k`` for real operands, ``0`` for pads, so pads
-    contribute nothing to the table key), ``base`` the per-gate table
-    offsets and ``out`` the output net indices.  A whole level then
-    settles as ``row[out] = tables[base + sum_k row[cols[k]]*weights[k]]``
-    -- one fused gather per level instead of one per (level, arity)
-    group, which is what a single-row reactive step needs.
+    Every output of the op is a function of ``K`` *leaf* nets -- nets
+    settled before the op runs -- looked up in its own ``3**K``-entry
+    slice of ``table`` (the op's fused truth tables, separate from
+    :attr:`SoaNetlist.tables`), starting at ``base``.  ``cols`` is the
+    ``(K, outputs)`` leaf matrix (one ``row.take(cols)`` gathers it); an
+    output with fewer than ``K`` leaves pads with net ``0`` and its
+    table is expanded over that digit, which keeps ``weights`` uniform
+    (``3**k``).  ``out`` holds the output nets.  The op settles as
+    ``row[out] = table[base + weights @ row[cols]]``.
     """
 
     cols: np.ndarray
     weights: np.ndarray
     base: np.ndarray
     out: np.ndarray
+    table: np.ndarray
 
-    def __post_init__(self):
-        # Flattened operand indices: one ndarray.take per level beats
-        # ``A`` separate gathers (fewer trips through numpy dispatch).
-        self.flat_cols = np.ascontiguousarray(self.cols.reshape(-1))
+
+def _pow3(k):
+    return 3 ** np.arange(k, dtype=np.int64)
+
+
+def _flat_level(level):
+    """One level's groups as ``(in (G, A) with -1 pads, base, out)``."""
+    total = sum(len(grp.out_idx) for grp in level)
+    width = max(grp.arity for grp in level)
+    inp = np.full((total, width), -1, dtype=np.int64)
+    base = np.empty(total, dtype=np.int64)
+    out = np.empty(total, dtype=np.int64)
+    at = 0
+    for grp in level:
+        n = len(grp.out_idx)
+        inp[at:at + n, :grp.arity] = grp.in_idx
+        base[at:at + n] = grp.table_base
+        out[at:at + n] = grp.out_idx
+        at += n
+    return inp, base, out
+
+
+def _leaf_sets(inp, producer, leaves, big):
+    """``(leaf rows, leaf counts)`` for one level's gates: each row the
+    sorted distinct leaf nets, padded with ``big``.  An operand produced
+    inside the open op (``producer >= 0``) contributes that producer's
+    ``leaves`` row, any other operand itself."""
+    n, width = inp.shape[0], leaves.shape[1]
+    parts = [np.full((n, width), big, dtype=np.int64)]
+    for k in range(inp.shape[1]):
+        src = inp[:, k]
+        own = np.full((n, width), big, dtype=np.int64)
+        own[:, 0] = np.where(src < 0, big, src)
+        at = producer[src]
+        inner = at >= 0
+        own[inner] = leaves[at[inner]]
+        parts.append(own)
+    cat = np.sort(np.concatenate(parts, axis=1), axis=1)
+    cat[:, 1:][cat[:, 1:] == cat[:, :-1]] = big
+    cat.sort(axis=1)
+    return cat[:, :width], (cat < big).sum(axis=1)
+
+
+def _fuse_tables(levels, leaves, width, cell_tables, n_nets):
+    """Fused ``(outputs, 3**width)`` tables for one op's levels.
+
+    Each output's table is its cell table evaluated on every ternary
+    combination of the output's leaves (digit ``j`` of the code = leaf
+    ``j``); operands produced earlier in the op read their producer's
+    fused table at the matching sub-code, so the result is exactly the
+    level-by-level settle, composed.
+    """
+    combos = 3 ** width
+    digits = (np.arange(combos)[None, :] // _pow3(width)[:, None]) % 3
+    weights = _pow3(width)[None, :, None]
+    total = sum(len(out) for _, _, out in levels)
+    fused = np.empty((total, combos), dtype=np.int8)
+    producer = np.full(n_nets + 1, -1, dtype=np.int64)
+    at = 0
+    for inp, base, out in levels:
+        n = len(out)
+        mine = leaves[at:at + n]
+        keys = np.repeat(base[:, None], combos, axis=1)
+        for k in range(inp.shape[1]):
+            src = inp[:, k]
+            pos = np.argmax(mine == src[:, None], axis=1)
+            vals = digits[pos]
+            src_at = producer[src]
+            inner = np.nonzero(src_at >= 0)[0]
+            if len(inner):
+                prod = src_at[inner]
+                # Leaf slot q of the producer -> digit position in this
+                # output's code (producer pads land anywhere: ignored).
+                slot = np.argmax(mine[inner][:, None, :]
+                                 == leaves[prod][:, :, None], axis=2)
+                sub = (digits[slot] * weights).sum(axis=1)
+                vals[inner] = np.take_along_axis(fused[prod], sub, axis=1)
+            keys += np.where((src < 0)[:, None], 0, vals * 3 ** k)
+        fused[at:at + n] = cell_tables[keys]
+        producer[out] = np.arange(at, at + n)
+        at += n
+    return fused
+
+
+def _fuse_levels(levels, cell_tables, n_nets):
+    """Fuse a level list into a :class:`RowOp` list.
+
+    Greedy over consecutive levels: a level joins the open op while
+    every one of its gates still depends on at most :data:`FUSE_LEAVES`
+    nets settled before the op; otherwise it opens the next op.  (A
+    lone level whose gates are wider than that still forms one op.)
+    """
+    flat = [_flat_level(level) for level in levels
+            if level and sum(len(grp.out_idx) for grp in level)]
+    if not flat:
+        return []
+    big = n_nets
+    width = max(FUSE_LEAVES, max(inp.shape[1] for inp, _, _ in flat))
+    no_leaves = np.empty((0, width), dtype=np.int64)
+    producer = np.full(n_nets + 1, -1, dtype=np.int64)
+    groups = []                     # per op: ([levels], [leaf rows])
+    for level in flat:
+        inp, _, out = level
+        if groups:
+            leaves, count = _leaf_sets(inp, producer,
+                                       np.concatenate(groups[-1][1]), big)
+        if not groups or count.max() > FUSE_LEAVES:
+            producer[:] = -1
+            leaves, _ = _leaf_sets(inp, producer, no_leaves, big)
+            groups.append(([], []))
+        op_levels, op_leaves = groups[-1]
+        producer[out] = sum(map(len, op_leaves)) + np.arange(len(out))
+        op_levels.append(level)
+        op_leaves.append(leaves)
+
+    ops = []
+    for op_levels, op_leaves in groups:
+        leaves = np.concatenate(op_leaves)
+        k = max(1, int((leaves < big).sum(axis=1).max()))
+        leaves = leaves[:, :k]
+        fused = _fuse_tables(op_levels, leaves, k, cell_tables, n_nets)
+        ops.append(RowOp(
+            cols=np.ascontiguousarray(np.where(leaves == big, 0, leaves).T),
+            weights=_pow3(k),
+            base=np.arange(len(leaves), dtype=np.int64) * 3 ** k,
+            out=np.concatenate([out for _, _, out in op_levels]),
+            table=fused.reshape(-1)))
+    return ops
 
 
 @dataclass
@@ -219,70 +352,47 @@ class SoaNetlist:
                 values[:, grp.out_idx] = tables[keys]
 
     def pack_levels(self, levels=None):
-        """Merge a level list into a :class:`RowOp` row program.
+        """Fuse a level list into a fused-LUT row program.
 
-        ``levels`` defaults to the full schedule and also accepts a
-        :meth:`subschedule` result.  Constant (arity-0) gates fold in
-        with an all-pad column set, so their key degenerates to
-        ``base`` -- the init pass already settles them, re-evaluating is
-        idempotent.
+        Returns a :class:`RowOp` list.  ``levels`` defaults to the full
+        schedule and also accepts a :meth:`subschedule` result.
+        Consecutive levels merge greedily into one op while each merged
+        gate depends on at most :data:`FUSE_LEAVES` nets settled before
+        the op; each gate then gets its own table, built by running the
+        per-gate truth tables over every ternary leaf combination --
+        bit-identical to :meth:`eval_comb` by construction.  Constant
+        (arity-0) gates become leafless tables (the init pass already
+        settles them; re-evaluating is idempotent).
         """
-        ops = []
-        for level in (self.levels if levels is None else levels):
-            if not level:
-                continue
-            total = sum(len(grp.out_idx) for grp in level)
-            if not total:
-                continue
-            max_arity = max(grp.arity for grp in level)
-            cols = np.zeros((max_arity, total), dtype=np.int64)
-            weights = np.zeros((max_arity, total), dtype=np.int64)
-            base = np.empty(total, dtype=np.int64)
-            out = np.empty(total, dtype=np.int64)
-            at = 0
-            for grp in level:
-                n = len(grp.out_idx)
-                for k in range(grp.arity):
-                    cols[k, at:at + n] = grp.in_idx[:, k]
-                    weights[k, at:at + n] = grp.pow3[k]
-                base[at:at + n] = grp.table_base
-                out[at:at + n] = grp.out_idx
-                at += n
-            ops.append(RowOp(cols=cols, weights=weights, base=base, out=out))
-        return ops
+        return _fuse_levels(self.levels if levels is None else levels,
+                            self.tables, self.n_nets)
 
     def row_program(self):
-        """The full-schedule row program, packed once and memoised."""
+        """The full-schedule row program, fused once and memoised."""
         ops = getattr(self, "_row_full", None)
         if ops is None:
-            ops = self.pack_levels()
-            self._row_full = ops
+            ops = self._row_full = self.pack_levels()
         return ops
 
     def eval_row(self, row, ops=None):
         """Settle a single ``(n_nets,)`` value row in place.
 
-        The single-row counterpart of :meth:`eval_comb`: one fused
-        gather per merged level (``ops`` defaults to the memoised
-        :meth:`row_program`; pass a :meth:`pack_levels` of a
-        :meth:`subschedule` to settle only an affected cone).  Computes
-        the identical functional fixed point.
+        The single-row counterpart of :meth:`eval_comb`: one fused-LUT
+        lookup per :class:`RowOp` -- a leaf gather, a ``3**k`` weighted
+        sum and a table take, however many levels the op merged.
+        ``ops`` defaults to the memoised :meth:`row_program`; pass a
+        :meth:`pack_levels` of a :meth:`subschedule` to settle only an
+        affected cone.  Computes the identical functional fixed point.
         """
-        tables = self.tables
         if ops is None:
             ops = self.row_program()
         for op in ops:
-            arity = op.cols.shape[0]
-            if arity == 0:
-                row[op.out] = tables[op.base]
-                continue
-            keys = (row.take(op.flat_cols).reshape(arity, -1)
-                    * op.weights).sum(axis=0)
+            keys = np.dot(op.weights, row.take(op.cols))
             keys += op.base
-            row.put(op.out, tables.take(keys))
+            row[op.out] = op.table.take(keys)
 
     def __getstate__(self):
-        """Drop lazily-packed row programs (rebuilt on demand)."""
+        """Drop the lazily-fused row program (rebuilt on demand)."""
         state = dict(self.__dict__)
         state.pop("_row_full", None)
         return state
@@ -543,7 +653,7 @@ def lower_soa(module, library=None):
 
     # -- combinational gate entries, in topological order --------------------
     order = topological_instances(module)   # raises on loops / hierarchy
-    rank_of = levelize(module)
+    rank_of = levelize(module, order)
     table_offset = {}
     flat_tables = []
     entries = []                            # (level, arity, in, out, base)

@@ -108,10 +108,15 @@ def topological_instances(module):
     return order
 
 
-def levelize(module):
+def levelize(module, order=None):
     """Map each combinational instance name to its logic level (longest
-    distance, in gates, from a source)."""
-    order = topological_instances(module)
+    distance, in gates, from a source).
+
+    ``order`` reuses a :func:`topological_instances` result the caller
+    already holds instead of sorting ``module`` again.
+    """
+    if order is None:
+        order = topological_instances(module)
     levels = {}
     for inst in order:
         level = 0

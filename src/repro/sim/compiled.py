@@ -30,12 +30,16 @@ Closed-loop workloads (a testbench that must *read* outputs each cycle
 to decide the next inputs -- the ISA co-simulator's memory protocol)
 cannot batch cycles at all, so :meth:`CompiledSchedule.stepper` exposes
 the same settled-phase machinery one cycle at a time: a
-:class:`ClosedLoopStepper` settles single value rows through merged
-packed row programs (:meth:`repro.netlist.soa.SoaNetlist.pack_levels`),
-skips applies whose values did not change, samples flops only on phases
-whose affected cone reaches a CK/RN pin, and accrues the identical
-consecutive-snapshot toggle diffs -- bit-identical state and toggle
-counts versus driving the event simulator through the same protocol.
+:class:`ClosedLoopStepper` settles single value rows through fused-LUT
+row programs (:meth:`repro.netlist.soa.SoaNetlist.pack_levels`: runs of
+consecutive levels merged into one table lookup per output, keyed on at
+most five nets settled before the run, tables composed from the per-gate
+truth tables so the settle is exact), skips applies whose values did
+not change, samples flops only on phases whose affected cone reaches a
+CK/RN pin, and accrues the identical consecutive-snapshot toggle diffs
+-- bit-identical state and toggle counts versus driving the event
+simulator through the same protocol.  Fused programs are built lazily
+per cone and never pickled.
 """
 
 from __future__ import annotations
@@ -103,14 +107,19 @@ class CompiledSchedule:
                                for name, idx in soa.input_ports.items()}
             self._init = self._build_init()
 
+    #: Lazily built caches -- subschedules, flop columns and fused row
+    #: programs -- rebuilt on demand, so never pickled.
+    _LAZY = ("_fo_state", "_fo_clock", "_seq_cols", "_row_state",
+             "_row_inputs")
+
     def __getstate__(self):
+        """Drop the module and every lazy cache: a schedule pickles to
+        the same bytes before and after it has been stepped."""
         state = dict(self.__dict__)
         state["_module"] = None
-        state.pop("_fo_state", None)
-        state.pop("_fo_clock", None)
-        state.pop("_seq_cols", None)
-        state.pop("_row_state", None)
-        state.pop("_row_inputs", None)
+        state["_cones"] = {}
+        for name in self._LAZY:
+            state.pop(name, None)
         return state
 
     @property
@@ -281,7 +290,7 @@ class CompiledSchedule:
         return levels
 
     def _row_state_prog(self):
-        """Packed row program for the flop-output fanout (memoised)."""
+        """Fused row program for the flop-output fanout (memoised)."""
         prog = getattr(self, "_row_state", None)
         if prog is None:
             prog = self._row_state = \
@@ -289,7 +298,7 @@ class CompiledSchedule:
         return prog
 
     def _row_apply_prog(self, idxs):
-        """``(packed cone program, needs-flop-sampling)`` for applying
+        """``(fused cone program, needs-flop-sampling)`` for applying
         the given net indices, memoised per index set.
 
         Sampling is needed exactly when the apply can move a CK or RN
@@ -591,7 +600,7 @@ class ClosedLoopStepper:
     the standard protocol (settled apply phases with the clock low, then
     :meth:`posedge` / :meth:`negedge`), but every phase is a handful of
     fused gathers over a single ``(n_nets,)`` value row: the perturbed
-    cone settles through a memoised packed row program, flop sampling
+    cone settles through a memoised fused-LUT row program, flop sampling
     runs only when the cone can reach a CK/RN pin, unchanged applies
     skip entirely, and toggle accounting accrues the same
     consecutive-snapshot diffs as the batched engine -- so state,

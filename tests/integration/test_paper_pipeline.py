@@ -54,6 +54,38 @@ class TestCortexM0Study:
         assert m0_study.glitch_factor == M0LITE_GLITCH_FACTOR
 
 
+class TestDhrystoneEngine:
+    """The Table II Dhrystone runs are pinned to the compiled stepper:
+    an ineligible core must raise, not quietly replay on the event
+    simulator."""
+
+    def test_sizing_pass_core_runs_compiled(self, lib):
+        from repro.circuits import registry
+        from repro.paper import _run_dhrystone
+
+        gate, e_cycle = _run_dhrystone(registry.build("m0lite", lib), lib,
+                                       iterations=1)
+        assert gate.engine == "compiled"
+        assert gate.halted and e_cycle > 0
+
+    def test_implemented_core_runs_compiled(self, lib, m0_study):
+        from repro.paper import _run_dhrystone
+
+        gate, _ = _run_dhrystone(m0_study.base.top, lib, iterations=1)
+        assert gate.engine == "compiled"
+
+    def test_ineligible_core_raises(self, lib, m0_module, monkeypatch):
+        from repro.errors import SimulationError
+        from repro.isa.trace import GateLevelCpu
+        from repro.paper import _run_dhrystone
+
+        monkeypatch.setattr(
+            GateLevelCpu, "_compiled_ready",
+            staticmethod(lambda schedule: (False, "forced by test")))
+        with pytest.raises(SimulationError, match="forced by test"):
+            _run_dhrystone(m0_module, lib, iterations=1)
+
+
 class TestCrossDesign:
     def test_m0_bigger_in_every_dimension(self, mult_study, m0_study):
         assert m0_study.e_cycle > 2 * mult_study.e_cycle

@@ -298,6 +298,29 @@ class TestMemoisationAndPickle:
         assert fast.engine == "levelized"
         assert_runs_identical(fast, schedule.run_vectors(vectors))
 
+    def test_stepper_run_leaves_pickle_bytes_unchanged(self, m0_module):
+        """Fused row programs, cone caches and eligibility memos are all
+        rebuilt on demand, so none of them reach the pickle."""
+        schedule = compile_schedule(m0_module)
+        before = pickle.dumps(schedule)
+
+        def drive(sched):
+            stepper = sched.stepper("clk")
+            stepper.force_flops(0)
+            stepper.apply({"rstn": 0})
+            stepper.cycle()
+            stepper.input_bus("drdata", 32).drive(0x1234)
+            stepper.cycle({"rstn": 1})
+            return stepper
+
+        stepper = drive(schedule)
+        schedule.soa.eval_row(stepper.state_row())
+        schedule.run_vectors([{"rstn": 1}])
+        assert pickle.dumps(schedule) == before
+        again = drive(pickle.loads(before))
+        assert np.array_equal(again.state_row(), stepper.state_row())
+        assert np.array_equal(again.toggle_counts, stepper.toggle_counts)
+
     def test_unpickled_fallback_needs_bind_module(self, lib):
         module = build_latch(lib)
         restored = pickle.loads(pickle.dumps(compile_schedule(module)))
