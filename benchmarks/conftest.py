@@ -55,17 +55,23 @@ def _option(config, name, env):
 
 
 @pytest.fixture(scope="session")
-def mult_study():
-    from repro.paper import multiplier_study
+def study_session():
+    """The session that owns the shared case studies."""
+    from repro.session import Session
 
-    return multiplier_study(fast=_FAST)
+    s = Session(cache=None)
+    yield s
+    s.close()
 
 
 @pytest.fixture(scope="session")
-def m0_study():
-    from repro.paper import cortex_m0_study
+def mult_study(study_session):
+    return study_session.study("mult16", fast=_FAST)
 
-    return cortex_m0_study(fast=_FAST)
+
+@pytest.fixture(scope="session")
+def m0_study(study_session):
+    return study_session.study("m0lite", fast=_FAST)
 
 
 @pytest.fixture(scope="session")

@@ -10,9 +10,9 @@ dominates both.
 Run:  python examples/duty_cycled_node.py
 """
 
+from repro import Session
 from repro.analysis.ascii_plot import ascii_chart
 from repro.analysis.figures import FigureSeries
-from repro.paper import multiplier_study
 from repro.scpg.idle_mode import (
     GatingScheme,
     WorkloadProfile,
@@ -26,7 +26,7 @@ FREQ = 2e6
 
 def main():
     print("Building the multiplier case study...")
-    study = multiplier_study()
+    study = Session().study("mult16")
     model = study.model
 
     fractions = [k / 40 for k in range(1, 40)]

@@ -8,10 +8,9 @@ and why the override's performance range matters.
 Run:  python examples/subthreshold_tradeoff.py
 """
 
-from repro import Mode
+from repro import Mode, Session
 from repro.analysis.ascii_plot import ascii_chart
 from repro.analysis.figures import subvt_series
-from repro.paper import multiplier_study
 from repro.subvt.compare import compare_with_scpg
 from repro.subvt.energy import minimum_energy_point
 from repro.units import fmt_energy, fmt_freq, fmt_power
@@ -19,7 +18,7 @@ from repro.units import fmt_energy, fmt_freq, fmt_power
 
 def main():
     print("Building the multiplier case study...")
-    study = multiplier_study()
+    study = Session().study("mult16")
 
     print("\nEnergy per operation vs supply voltage (Fig. 9):")
     print(ascii_chart([subvt_series(study.subvt, 0.15, 0.9, steps=50)],

@@ -12,8 +12,7 @@ Run:  python examples/wireless_sensor_node.py [budget_uW]
 
 import sys
 
-from repro import Mode
-from repro.paper import multiplier_study
+from repro import Mode, Session
 from repro.scpg.budget import compare_at_budget
 from repro.units import fmt_energy, fmt_freq, fmt_power
 
@@ -22,7 +21,7 @@ def main(budget_uw=30.0):
     budget = budget_uw * 1e-6
     print("Harvester budget: {}".format(fmt_power(budget)))
     print("Building the multiplier case study (flows + simulation)...")
-    study = multiplier_study()
+    study = Session().study("mult16")
 
     comparison = compare_at_budget(study.model, budget)
     print("\nBest operating point per configuration:")

@@ -1,10 +1,22 @@
 """Generate EXPERIMENTS.md: paper-vs-measured for every table and figure.
 
 Runs both case studies at full fidelity and formats the comparison tables.
-Usage:  python scripts/gen_experiments.py > EXPERIMENTS.md
+
+Usage::
+
+    PYTHONPATH=src python scripts/gen_experiments.py > EXPERIMENTS.md
+    PYTHONPATH=src python scripts/gen_experiments.py --check    # CI gate
+
+``--check`` regenerates the page in memory and exits 1, with a diff
+summary, when the committed ``EXPERIMENTS.md`` no longer matches it --
+so a change that moves a table or figure number cannot land without the
+regenerated page.
 """
 
+import argparse
+import difflib
 import io
+import os
 import sys
 
 from repro.analysis.sweep import find_convergence
@@ -13,7 +25,7 @@ from repro.analysis.tables import (
     TABLE_II_FREQS,
     build_table,
 )
-from repro.paper import cortex_m0_study, multiplier_study
+from repro import Session
 from repro.scpg.budget import (
     HARVESTER_BUDGET_LARGE,
     HARVESTER_BUDGET_SMALL,
@@ -50,12 +62,14 @@ def table_block(out, rows, paper_rows):
             ))
 
 
-def main():
+def render():
+    """The full EXPERIMENTS.md text."""
     out = io.StringIO()
+    session = Session(cache=None)
     sys.stderr.write("building multiplier study...\n")
-    mult = multiplier_study()
+    mult = session.study("mult16")
     sys.stderr.write("building cortex-m0 study (full Dhrystone-lite)...\n")
-    m0 = cortex_m0_study()
+    m0 = session.study("m0lite")
 
     w = out.write
     w("# EXPERIMENTS — paper vs measured\n\n")
@@ -166,8 +180,35 @@ def main():
     w("  1-2% leakage mismatch moves it by integer factors.  The headline\n")
     w("  gains (tens-of-x clock and energy within the budget) survive.\n")
 
-    sys.stdout.write(out.getvalue())
+    return out.getvalue()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 when EXPERIMENTS.md is stale instead "
+                        "of printing the page")
+    args = parser.parse_args(argv)
+
+    text = render()
+    if not args.check:
+        sys.stdout.write(text)
+        return 0
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "EXPERIMENTS.md")
+    committed = open(path).read() if os.path.exists(path) else ""
+    if committed == text:
+        print("EXPERIMENTS.md is up to date")
+        return 0
+    diff = difflib.unified_diff(
+        committed.splitlines(), text.splitlines(),
+        "EXPERIMENTS.md (committed)", "EXPERIMENTS.md (generated)",
+        lineterm="")
+    sys.stdout.write("\n".join(list(diff)[:60]) + "\n")
+    print("EXPERIMENTS.md is stale: regenerate with "
+          "PYTHONPATH=src python scripts/gen_experiments.py > EXPERIMENTS.md")
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,12 +11,12 @@ Quick start::
     rows = handle.table([1e4, 1e6, 1e7])  # Table-I style rows
     print(session.stats.render())         # what the runner did
 
-The lower-level entry points remain public (see ``docs/api.md``)::
+The paper's case studies hang off the session too (see ``docs/api.md``)::
 
-    from repro import multiplier_study, Mode, build_table, format_table
+    from repro import Session, build_table, format_table
     from repro.analysis.tables import TABLE_I_FREQS
 
-    study = multiplier_study()
+    study = Session().study("mult16")     # flows + simulation + models
     rows = build_table(study.model, TABLE_I_FREQS)
     print(format_table(rows))
 
@@ -26,7 +26,7 @@ Package map (see DESIGN.md for the full inventory):
 ``repro.tech``            synthetic 90nm library, device models, Liberty-lite
 ``repro.netlist``         netlist model, Verilog subset I/O, transforms
 ``repro.circuits``        generator families + keyed design database + registry
-``repro.sim``             event-driven simulator, VCD, activity capture
+``repro.sim``             event-driven + compiled simulators, activity capture
 ``repro.sta``             static timing analysis
 ``repro.power``           leakage / dynamic / rails / header sizing
 ``repro.isa``             M0-lite ISA, assembler, ISS, Dhrystone-lite
@@ -47,10 +47,9 @@ from .circuits.generators import DesignKey, available_families, \
 from .circuits.registry import available_designs, register_design
 from .errors import ReproError
 from .netlist.core import Design, Module
-from .paper import CaseStudy, cortex_m0_study, multiplier_study
 from .runner import ResultCache, RunJournal, Runner, RunStats, \
     evaluate_grid
-from .scpg import Mode, ScpgPowerModel, apply_scpg
+from .scpg import Mode, ScpgPowerModel
 from .session import DesignHandle, Session
 from .tech import build_scl90
 from .techniques import available_techniques, register_technique, technique
@@ -62,12 +61,8 @@ __all__ = [
     "Design",
     "Module",
     "build_scl90",
-    "apply_scpg",
     "Mode",
     "ScpgPowerModel",
-    "CaseStudy",
-    "multiplier_study",
-    "cortex_m0_study",
     "build_table",
     "format_table",
     "Session",

@@ -180,16 +180,12 @@ def cmd_table(args):
 
     session = _session(args)
     if args.which == 1:
-        from .paper import multiplier_study
-
-        study = multiplier_study(fast=args.fast)
+        study = session.study("mult16", fast=args.fast)
         rows = build_table(study.model, TABLE_I_FREQS,
                            runner=session.runner)
         title = "TABLE I (16-bit multiplier)"
     else:
-        from .paper import cortex_m0_study
-
-        study = cortex_m0_study(fast=args.fast)
+        study = session.study("m0lite", fast=args.fast)
         rows = build_table(study.model, TABLE_II_FREQS,
                            runner=session.runner)
         title = "TABLE II (Cortex-M0 / M0-lite)"

@@ -9,25 +9,23 @@ paper's recommendation to centre the gated domain), clock-tree synthesis
 and a routing estimate.
 
 * :func:`run_traditional_flow` -- baseline implementation of a design.
-* :func:`run_scpg_flow` -- the Fig. 5 flow; reports the area overhead the
-  paper quotes (+3.9% multiplier, +6.6% Cortex-M0).
+* :mod:`repro.flows.scpg_flow` -- the Fig. 5 flow, reached through
+  ``repro.techniques.technique("scpg").implement``; reports the area
+  overhead the paper quotes (+3.9% multiplier, +6.6% Cortex-M0).
 """
 
 from .base import FlowResult, StepReport
 from .synthesis import synthesize
-from .optimize import OptimizeStats, optimize
 from .floorplan import plan_design, Floorplan
 from .cts import synthesize_clock_tree, CtsReport
 from .route import estimate_routing, RoutingEstimate
 from .traditional import run_traditional_flow
-from .scpg_flow import run_scpg_flow, ScpgFlowResult
+from .scpg_flow import ScpgFlowResult
 
 __all__ = [
     "FlowResult",
     "StepReport",
     "synthesize",
-    "optimize",
-    "OptimizeStats",
     "plan_design",
     "Floorplan",
     "synthesize_clock_tree",
@@ -35,6 +33,5 @@ __all__ = [
     "estimate_routing",
     "RoutingEstimate",
     "run_traditional_flow",
-    "run_scpg_flow",
     "ScpgFlowResult",
 ]

@@ -7,7 +7,7 @@ Two steps beyond a traditional power-gating flow:
 2. **Combine the custom isolation circuitry** -- the Fig. 3 controller and
    the output clamps -- with the split netlist.
 
-Both happen inside :func:`repro.scpg.transform.apply_scpg`; the remainder
+Both happen inside :func:`repro.scpg.transform._apply_scpg`; the remainder
 (synthesis, design planning with the centred gated domain, CTS, routing)
 "is identical to a traditional power gating implementation flow".  The
 flow compares its result against a freshly implemented baseline to report
@@ -45,24 +45,6 @@ class ScpgFlowResult:
         return "\n".join(lines)
 
 
-def run_scpg_flow(design_builder, library, clock="clk", header_size=None,
-                  energy_per_cycle=None, centred=True):
-    """Deprecated spelling of the SCPG implementation flow.
-
-    Use ``repro.techniques.technique("scpg").implement(...)`` -- the
-    registered technique owns the full Fig. 5 flow.
-    """
-    import warnings
-
-    warnings.warn(
-        "run_scpg_flow is deprecated; use "
-        "repro.techniques.technique('scpg').implement(...)",
-        DeprecationWarning, stacklevel=2)
-    return _run_scpg_flow(
-        design_builder, library, clock=clock, header_size=header_size,
-        energy_per_cycle=energy_per_cycle, centred=centred)
-
-
 def _run_scpg_flow(design_builder, library, clock="clk", header_size=None,
                    energy_per_cycle=None, centred=True):
     """Implement a design with SCPG and a baseline for comparison.
@@ -78,7 +60,7 @@ def _run_scpg_flow(design_builder, library, clock="clk", header_size=None,
     clock:
         Clock port name.
     header_size / energy_per_cycle:
-        Forwarded to :func:`~repro.scpg.transform.apply_scpg`.
+        Forwarded to :func:`~repro.scpg.transform._apply_scpg`.
     centred:
         Centre the gated domain in the floorplan (the paper's
         recommendation); ``False`` shows the congestion penalty.

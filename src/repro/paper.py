@@ -1,7 +1,7 @@
 """End-to-end case-study drivers for the paper's evaluation.
 
 :func:`multiplier_study` and :func:`cortex_m0_study` run the full
-reproduction pipeline for one test design:
+reproduction pipeline for one test design on a given cell library:
 
 1. generate the netlist (:mod:`repro.circuits`);
 2. implement it twice through the flows (baseline and SCPG, incl. CTS);
@@ -13,15 +13,15 @@ reproduction pipeline for one test design:
    I/II, Figs 6/8) and the :class:`~repro.subvt.energy.SubvtModel`
    (Figs 9/10, §IV).
 
-Results are memoised per (design, fast) so the benchmark suite shares one
-simulation run.  ``fast=True`` trims the workload length for unit tests.
+The studies are reached through :meth:`repro.session.Session.study`,
+which builds them on the session's library and memoises them per
+session.  ``fast=True`` trims the workload length for unit tests.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .circuits import registry
 from .flows.scpg_flow import _run_scpg_flow
@@ -39,7 +39,9 @@ from .sim.compiled import schedule_for
 from .sim.testbench import bus_values
 from .subvt.energy import SubvtModel
 from .tech.calibration import CORTEX_M0_ANCHORS, MULTIPLIER_ANCHORS
-from .tech.scl90 import build_scl90
+
+#: Seed of the multiplier's random operand vectors.
+MULTIPLIER_SEED = 2011
 
 
 @dataclass
@@ -93,14 +95,14 @@ def _finish_study(name, flow_result, base_flow, e_cycle, glitch, anchors,
     )
 
 
-def _measure_multiplier_energy(module, library, vectors, seed):
+def _measure_multiplier_energy(module, library, vectors):
     """Switched energy per cycle under random operand vectors.
 
     Runs through the levelized struct-of-arrays engine
     (:mod:`repro.sim.compiled`); its toggle counts are bit-identical to
     the event simulator's, so the calibration numbers are unchanged.
     """
-    rng = random.Random(seed)
+    rng = random.Random(MULTIPLIER_SEED)
     stimulus = [{
         **bus_values("a", 16, rng.getrandbits(16)),
         **bus_values("b", 16, rng.getrandbits(16)),
@@ -112,16 +114,13 @@ def _measure_multiplier_energy(module, library, vectors, seed):
     return dyn.energy_per_cycle, run.cycles
 
 
-@lru_cache(maxsize=None)
-def multiplier_study(fast=False, seed=2011):
+def multiplier_study(library, fast=False):
     """Case study 1: the 16-bit parallel multiplier."""
-    library = build_scl90()
-
     # Quick pre-pass on the raw netlist: the header IR-drop sizing needs a
     # realistic switched-energy figure (the paper sizes sleep transistors
     # "from synthesis and simulation").
     e_sizing, _ = _measure_multiplier_energy(
-        registry.build("mult16", library), library, vectors=60, seed=seed)
+        registry.build("mult16", library), library, vectors=60)
 
     flow_result = _run_scpg_flow(
         lambda: Design(registry.build("mult16", library), library),
@@ -131,7 +130,7 @@ def multiplier_study(fast=False, seed=2011):
     # Final measurement on the implemented baseline (clock tree included).
     vectors = 60 if fast else 300
     e_cycle, cycles = _measure_multiplier_energy(
-        base_flow.flat.top, library, vectors, seed)
+        base_flow.flat.top, library, vectors)
 
     return _finish_study(
         "mult16", flow_result, base_flow, e_cycle,
@@ -157,11 +156,8 @@ def _run_dhrystone(module, library, iterations=None):
     return gate, dyn.energy_per_cycle
 
 
-@lru_cache(maxsize=None)
-def cortex_m0_study(fast=False):
+def cortex_m0_study(library, fast=False):
     """Case study 2: the M0-lite processor running Dhrystone-lite."""
-    library = build_scl90()
-
     # Sizing pre-pass (short workload on the raw core).
     _, e_sizing = _run_dhrystone(registry.build("m0lite", library),
                                  library, iterations=4)

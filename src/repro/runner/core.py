@@ -14,7 +14,7 @@ point, in point order, regardless of how the work was scheduled:
   :data:`MAX_INFLIGHT_PER_WORKER` ``* workers`` futures are in flight,
   so a 10k-point grid never enqueues everything up front;
 * **chunked batch dispatch** -- when a grid has both ``workers > 1``
-  *and* a ``batch_fn`` kernel, pending points are sharded into
+  *and* a ``kernel``, pending points are sharded into
   contiguous chunks (adaptive size ``pending / (4 * workers)``, clamped
   to ``[CHUNK_FLOOR, CHUNK_CAP]``) and the *kernel* runs inside the
   workers -- one IPC round-trip per chunk instead of per point.  A
@@ -59,7 +59,6 @@ import pickle
 import signal
 import threading
 import time
-import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -88,52 +87,6 @@ _NO_CONTEXT = _NoContext
 INFEASIBLE_MARKER = "__repro:infeasible__"
 
 
-class _KernelBatch:
-    """Adapter presenting a compiled kernel under the internal batch
-    arity (``batch(points)`` / ``batch(context, points)``).  A compiled
-    kernel closes over its own context, so the grid context -- still
-    shipped for ``fn`` -- is ignored here.  Module-level and slotted so
-    the chunked parallel path can pickle it into worker state."""
-
-    __slots__ = ("kernel",)
-
-    def __init__(self, kernel):
-        self.kernel = kernel
-
-    def __call__(self, context, points=None):
-        if points is None:
-            points = context
-        return self.kernel(points)
-
-    def __getstate__(self):
-        return self.kernel
-
-    def __setstate__(self, state):
-        self.kernel = state
-
-
-class _LegacyBatch:
-    """A deprecated ``batch_fn`` re-shaped as ``kernel(points)``.  Bakes
-    in the grid context so the legacy context-dependent arity keeps
-    working through the uniform kernel path."""
-
-    __slots__ = ("batch_fn", "context")
-
-    def __init__(self, batch_fn, context):
-        self.batch_fn = batch_fn
-        self.context = context
-
-    def __call__(self, points):
-        if self.context is _NO_CONTEXT:
-            return self.batch_fn(points)
-        return self.batch_fn(self.context, points)
-
-    def __getstate__(self):
-        return (self.batch_fn, self.context)
-
-    def __setstate__(self, state):
-        self.batch_fn, self.context = state
-
 #: Default retry policy: up to 2 extra attempts, 50 ms base backoff.
 DEFAULT_RETRIES = 2
 DEFAULT_BACKOFF = 0.05
@@ -151,7 +104,7 @@ CHUNK_SHARDS_PER_WORKER = 4
 CHUNK_FLOOR = 4
 CHUNK_CAP = 2048
 
-#: ``(fn, batch_fn, context, on_error, retry_on, retries, backoff,
+#: ``(fn, kernel, context, on_error, retry_on, retries, backoff,
 #: timeout)`` captured immediately before an ephemeral pool forks;
 #: workers read it instead of unpickling task payloads.  Spawn workers
 #: get the same tuple installed by the :func:`_install_state`
@@ -296,13 +249,10 @@ def _chunk_eval(task):
     pool worker.  Returns ``(chunk_id, values, elapsed)``; any kernel
     exception propagates to the parent, which bisects the chunk."""
     chunk_id, items, epoch, blob = task
-    _, batch_fn, context = _chunk_state(epoch, blob)[:3]
+    kernel = _chunk_state(epoch, blob)[1]
     pts = [point for _, point in items]
     start = time.perf_counter()
-    if context is _NO_CONTEXT:
-        values = list(batch_fn(pts))
-    else:
-        values = list(batch_fn(context, pts))
+    values = list(kernel(pts))
     elapsed = time.perf_counter() - start
     if len(values) != len(pts):
         raise RunnerError(
@@ -365,7 +315,7 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
                   cache=None, cache_key=None, on_error=(), stats=None,
                   retry_on=(), retries=DEFAULT_RETRIES,
                   backoff=DEFAULT_BACKOFF, timeout=None, journal=None,
-                  label=None, kernel=None, batch_fn=None, tracer=None,
+                  label=None, kernel=None, tracer=None,
                   metrics=None, pool=None, chunk_size=None):
     """Evaluate ``fn`` over ``points``; returns results in point order.
 
@@ -431,12 +381,6 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
         bisected until the poison point is isolated and re-run in the
         parent under the full per-point policy.  Per-point cache
         writeback and journal events are preserved on every path.
-    batch_fn:
-        Deprecated spelling of ``kernel`` (emits
-        :class:`DeprecationWarning`): a callable
-        ``batch_fn(pending_points)`` -- or
-        ``batch_fn(context, pending_points)`` when ``context`` is given
-        -- with the same contract.  Mutually exclusive with ``kernel``.
     tracer:
         A :class:`~repro.obs.trace.Tracer` producing nested spans
         (``grid`` -> ``stage`` -> [``chunk`` ->] ``point`` ->
@@ -463,15 +407,6 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
         ``None`` sizes adaptively: ``pending / (4 * workers)`` clamped
         to ``[CHUNK_FLOOR, CHUNK_CAP]``.
     """
-    if batch_fn is not None:
-        warnings.warn(
-            "evaluate_grid(batch_fn=...) is deprecated; pass kernel= "
-            "(see repro.runner.kernel)", DeprecationWarning,
-            stacklevel=2)
-        if kernel is not None:
-            raise RunnerError("pass kernel= or batch_fn=, not both")
-    elif kernel is not None:
-        batch_fn = _KernelBatch(kernel)
     points = list(points)
     stats = RunStats() if stats is None else stats
     stats.points += len(points)
@@ -552,9 +487,9 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
                             and getattr(live_pool, "closed", False):
                         live_pool = None
                     leftover = None
-                    if method is not None and batch_fn is not None:
+                    if method is not None and kernel is not None:
                         leftover = _run_chunked(
-                            fn, batch_fn, context, policy, pending,
+                            fn, kernel, context, policy, pending,
                             nworkers, method, live_pool, chunk_size,
                             results, errored, stats, journal, flush,
                             tracer, point_hist, wait_hist, metrics,
@@ -562,9 +497,9 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
                         if leftover:
                             journal.record("requeue_serial",
                                            points=len(leftover))
-                            _run_batch(batch_fn, context, leftover,
-                                       results, errored, stats, journal,
-                                       flush, label, tracer, point_hist)
+                            _run_batch(kernel, leftover, results,
+                                       errored, stats, journal, flush,
+                                       label, tracer, point_hist)
                     elif method is not None:
                         leftover = _run_forked(
                             fn, context, policy, pending, nworkers,
@@ -578,10 +513,10 @@ def evaluate_grid(fn, points, workers=None, context=_NO_CONTEXT,
                                         journal, flush, tracer,
                                         point_hist)
                     if leftover is None:
-                        if batch_fn is not None:
-                            _run_batch(batch_fn, context, pending,
-                                       results, errored, stats, journal,
-                                       flush, label, tracer, point_hist)
+                        if kernel is not None:
+                            _run_batch(kernel, pending, results,
+                                       errored, stats, journal, flush,
+                                       label, tracer, point_hist)
                         else:
                             _run_serial(fn, context, policy, pending,
                                         results, errored, stats,
@@ -648,9 +583,8 @@ def _run_serial(fn, context, policy, pending, results, errored, stats,
             results, errored, stats, journal, flush)
 
 
-def _run_batch(batch_fn, context, pending, results, errored, stats,
-               journal, flush, label=None, tracer=NULL_TRACER,
-               point_hist=None):
+def _run_batch(kernel, pending, results, errored, stats, journal, flush,
+               label=None, tracer=NULL_TRACER, point_hist=None):
     """Evaluate all of ``pending`` through one batch-kernel call.
 
     The kernel owns the inner loop (hoisted model state, no per-point
@@ -666,10 +600,7 @@ def _run_batch(batch_fn, context, pending, results, errored, stats,
     journal.record("batch_started", label=label, points=len(pts))
     start = time.perf_counter()
     with tracer.span("batch", label=label, points=len(pts)):
-        if context is _NO_CONTEXT:
-            values = list(batch_fn(pts))
-        else:
-            values = list(batch_fn(context, pts))
+        values = list(kernel(pts))
     elapsed = time.perf_counter() - start
     if len(values) != len(pending):
         raise RunnerError(
@@ -797,7 +728,7 @@ def _run_forked(fn, context, policy, pending, nworkers, method, results,
         _FORK_LOCK.release()
 
 
-def _run_chunked(fn, batch_fn, context, policy, pending, nworkers,
+def _run_chunked(fn, kernel, context, policy, pending, nworkers,
                  method, pool, chunk_size, results, errored, stats,
                  journal, flush, tracer=NULL_TRACER, point_hist=None,
                  wait_hist=None, metrics=None, label=None):
@@ -820,7 +751,7 @@ def _run_chunked(fn, batch_fn, context, policy, pending, nworkers,
     runs the serial batch path instead.
     """
     global _FORK_STATE
-    state = (fn, batch_fn, context) + policy
+    state = (fn, kernel, context) + policy
     blob = None
     if pool is not None:
         blob = _state_blob(state)
@@ -1136,16 +1067,8 @@ class Runner:
         self.chunk_size = chunk_size
 
     def run(self, fn, points, context=_NO_CONTEXT, cache_key=None,
-            on_error=(), label=None, kernel=None, batch_fn=None):
+            on_error=(), label=None, kernel=None):
         """:func:`evaluate_grid` under this runner's policy."""
-        if batch_fn is not None:
-            warnings.warn(
-                "Runner.run(batch_fn=...) is deprecated; pass kernel= "
-                "(see repro.runner.kernel)", DeprecationWarning,
-                stacklevel=2)
-            if kernel is not None:
-                raise RunnerError("pass kernel= or batch_fn=, not both")
-            kernel = _LegacyBatch(batch_fn, context)
         return evaluate_grid(
             fn, points, workers=self.workers, context=context,
             cache=self.cache, cache_key=cache_key, on_error=on_error,

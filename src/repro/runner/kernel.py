@@ -1,10 +1,8 @@
 """The unified batch-kernel protocol.
 
-Historically every vectorised evaluator in the repo had its own shape:
-``ScpgPowerModel.power_axis`` / ``power_points`` took frequency axes,
-``SubvtModel.points_axis`` took supply axes, and the runner accepted an
-ad-hoc ``batch_fn`` whose arity depended on whether a context was given.
-This module replaces all of them with one protocol:
+Every vectorised evaluator in the repo -- the SCPG power model's
+frequency axes, the sub-threshold model's supply axes, the artifact
+tables' VDD axes -- presents one shape to the runner:
 
 * :class:`Kernel` -- a stateless strategy registered per *context type*
   (model class, netlist module, ...).  ``applies(context)`` guards
@@ -22,8 +20,7 @@ This module replaces all of them with one protocol:
   the point-at-a-time path on ``None``.
 
 ``evaluate_grid(..., kernel=...)`` and ``Runner.run(..., kernel=...)``
-accept a compiled kernel directly; the legacy ``batch_fn=`` keyword and
-the per-model axis methods survive as :class:`DeprecationWarning` shims.
+accept a compiled kernel directly.
 
 Registered kernels: each model module self-registers at import time --
 e.g. :class:`repro.runner.artifacts.LeakageAxisKernel` binds to

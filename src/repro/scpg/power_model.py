@@ -253,21 +253,6 @@ class ScpgPowerModel:
 
     # -- batch kernels ----------------------------------------------------------
 
-    def power_axis(self, freqs, mode, duty=None):
-        """Deprecated spelling of the frequency-axis batch kernel.
-
-        Use the :class:`~repro.runner.kernel.Kernel` API instead:
-        ``compile_kernel(model)`` returns the uniform
-        ``callable(points)`` the runner dispatches.
-        """
-        import warnings
-
-        warnings.warn(
-            "ScpgPowerModel.power_axis is deprecated; use "
-            "repro.runner.compile_kernel(model) and the (freq, mode) "
-            "point shape", DeprecationWarning, stacklevel=2)
-        return self._power_axis(freqs, mode, duty)
-
     def _power_axis(self, freqs, mode, duty=None):
         """Evaluate one mode across a whole frequency axis in one pass.
 
@@ -347,21 +332,6 @@ class ScpgPowerModel:
                 p_leak_alwayson=leak_on, p_leak_comb=comb_eff,
                 p_leak_header=header_eff))
         return out
-
-    def power_points(self, points):
-        """Deprecated spelling of the sweep-point batch kernel.
-
-        Use ``repro.runner.compile_kernel(model)`` -- the compiled
-        kernel takes the same ``(freq_hz, mode)`` points and returns
-        the same breakdowns.
-        """
-        import warnings
-
-        warnings.warn(
-            "ScpgPowerModel.power_points is deprecated; use "
-            "repro.runner.compile_kernel(model)", DeprecationWarning,
-            stacklevel=2)
-        return self._power_points(points)
 
     def _power_points(self, points):
         """Batch-evaluate ``(freq_hz, mode)`` sweep points.

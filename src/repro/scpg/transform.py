@@ -1,7 +1,8 @@
 """Apply sub-clock power gating to a design (steps 1-2 of the paper's
 Fig. 5 flow, plus header sizing).
 
-Given a flat design, :func:`apply_scpg`:
+Given a flat design, :func:`_apply_scpg` (reached through
+``repro.techniques.technique("scpg").transform``):
 
 1. splits it into an always-on parent and a combinational child module
    (step 1: "parsing the netlist ... moving the combinational logic to a
@@ -104,28 +105,6 @@ class ScpgDesign:
     def area_overhead_pct(self):
         """SCPG area overhead in percent (paper: 3.9% / 6.6%)."""
         return 100.0 * (self.area - self.base_area) / self.base_area
-
-
-def apply_scpg(design, clock_port="clk", header_size=None,
-               energy_per_cycle=None, rail_params=None,
-               glitch_factor=DEFAULT_GLITCH_FACTOR,
-               override_port="override_n"):
-    """Deprecated spelling of the SCPG netlist transform.
-
-    Use ``repro.techniques.technique("scpg").transform(design, ...)`` --
-    the registered technique is the supported entry point and gains the
-    eligibility checks of the plugin protocol.
-    """
-    import warnings
-
-    warnings.warn(
-        "apply_scpg is deprecated; use "
-        "repro.techniques.technique('scpg').transform(design, ...)",
-        DeprecationWarning, stacklevel=2)
-    return _apply_scpg(
-        design, clock_port=clock_port, header_size=header_size,
-        energy_per_cycle=energy_per_cycle, rail_params=rail_params,
-        glitch_factor=glitch_factor, override_port=override_port)
 
 
 def _apply_scpg(design, clock_port="clk", header_size=None,

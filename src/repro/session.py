@@ -21,6 +21,7 @@ facade; the lower-level modules (``repro.analysis``, ``repro.subvt``,
 
 from __future__ import annotations
 
+from .errors import ReproError
 from .runner import DEFAULT_BACKOFF, DEFAULT_RETRIES, ResultCache, Runner, \
     WorkerPool, default_cache, module_fingerprint, open_store, \
     resolve_workers, stable_hash
@@ -131,6 +132,7 @@ class Session:
                              metrics=self._registry, pool=self.pool,
                              chunk_size=chunk_size)
         self.artifacts = self._artifact_store(artifacts)
+        self._studies = {}
 
     @staticmethod
     def _make_tracer(trace):
@@ -272,6 +274,27 @@ class Session:
         from .circuits.generators import expand_family
 
         return [self.design(key) for key in expand_family(family, **axes)]
+
+    def study(self, name, *, fast=False):
+        """A paper case study (:class:`~repro.paper.CaseStudy`) built on
+        this session's library: ``"mult16"`` (Table I, Figs 6/9) or
+        ``"m0lite"`` (Table II, Figs 7/8/10).
+
+        Each ``(name, fast)`` is built once per session and memoised;
+        ``fast=True`` trims the simulated workloads for unit tests.
+        """
+        key = (name, bool(fast))
+        if key not in self._studies:
+            from . import paper
+
+            builders = {"mult16": paper.multiplier_study,
+                        "m0lite": paper.cortex_m0_study}
+            if name not in builders:
+                raise ReproError(
+                    "unknown case study {!r}; choose from: {}".format(
+                        name, ", ".join(builders)))
+            self._studies[key] = builders[name](self.library, fast=fast)
+        return self._studies[key]
 
     def techniques(self):
         """Names of every registered power-gating technique."""

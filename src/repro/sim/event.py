@@ -423,7 +423,7 @@ class Simulator:
         self.toggles = [0] * len(self.toggles)
 
     def add_watcher(self, callback):
-        """Register ``callback(net, old, new)`` on every net change (VCD)."""
+        """Register ``callback(net, old, new)`` on every net change."""
         self._watchers.append(callback)
 
     def flop_q(self, inst_name):

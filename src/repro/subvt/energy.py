@@ -14,7 +14,6 @@ higher supply, exactly the Fig. 9 vs Fig. 10 contrast.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..errors import PowerError
@@ -78,19 +77,6 @@ class SubvtModel:
             e_leakage=p_leak / fmax,
             power=e_dyn * fmax + p_leak,
         )
-
-    def points_axis(self, vdds):
-        """Deprecated spelling of the supply-axis batch kernel.
-
-        Use ``repro.runner.compile_kernel(model)`` -- the compiled
-        kernel takes the same supply points and returns the same
-        :class:`EnergyPoint` objects.
-        """
-        warnings.warn(
-            "SubvtModel.points_axis is deprecated; use "
-            "repro.runner.compile_kernel(model)", DeprecationWarning,
-            stacklevel=2)
-        return self._points_axis(vdds)
 
     def _points_axis(self, vdds):
         """Evaluate a whole supply axis in one pass (the batch kernel).

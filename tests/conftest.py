@@ -77,16 +77,22 @@ def toy_design(lib):
 
 
 @pytest.fixture(scope="session")
-def mult_study():
-    """The full multiplier case study (fast mode, shared)."""
-    from repro.paper import multiplier_study
+def study_session(lib):
+    """The hermetic session that owns the shared case studies."""
+    from repro.session import Session
 
-    return multiplier_study(fast=True)
+    s = Session(library=lib, cache=None)
+    yield s
+    s.close()
 
 
 @pytest.fixture(scope="session")
-def m0_study():
-    """The full M0-lite case study (fast mode, shared)."""
-    from repro.paper import cortex_m0_study
+def mult_study(study_session):
+    """The full multiplier case study (fast mode, shared)."""
+    return study_session.study("mult16", fast=True)
 
-    return cortex_m0_study(fast=True)
+
+@pytest.fixture(scope="session")
+def m0_study(study_session):
+    """The full M0-lite case study (fast mode, shared)."""
+    return study_session.study("m0lite", fast=True)

@@ -27,10 +27,22 @@ class TestMultiplierStudy:
         assert nopg == pytest.approx(mult_study.anchors.leakage_total,
                                      rel=0.25)
 
-    def test_study_is_memoised(self):
-        from repro.paper import multiplier_study
+    def test_study_is_memoised(self, study_session, mult_study, lib):
+        """Memoised per session: the same session hands back the same
+        object; another session builds its own, with equal Table I."""
+        from repro.analysis.tables import TABLE_I_FREQS, build_table
+        from repro.session import Session
 
-        assert multiplier_study(fast=True) is multiplier_study(fast=True)
+        assert study_session.study("mult16", fast=True) is mult_study
+        other = Session(library=lib, cache=None)
+        try:
+            rebuilt = other.study("mult16", fast=True)
+            assert rebuilt is not mult_study
+            assert other.study("mult16", fast=True) is rebuilt
+            assert build_table(rebuilt.model, TABLE_I_FREQS) \
+                == build_table(mult_study.model, TABLE_I_FREQS)
+        finally:
+            other.close()
 
 
 class TestCortexM0Study:

@@ -6,7 +6,6 @@ behaviour-preserving:
 
 * structural-Verilog round-trips;
 * comb/seq split + flatten;
-* the logic-optimisation pass;
 * the fan-out repair pass.
 
 Equivalence is certified by :func:`repro.netlist.equivalence
@@ -18,7 +17,6 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.flows.optimize import optimize
 from repro.flows.synthesis import synthesize
 from repro.netlist.core import Design, Module
 from repro.netlist.equivalence import check_equivalence
@@ -112,15 +110,6 @@ class TestRoundTripProperty:
 
 
 class TestRewriteProperties:
-    @settings(**COMMON)
-    @given(st.integers(0, 10_000))
-    def test_optimizer_preserves_function(self, lib, seed):
-        golden = build_random_circuit(lib, seed)
-        revised = build_random_circuit(lib, seed)
-        optimize(revised)
-        assert validate_module(revised).ok
-        assert check_equivalence(golden, revised), seed
-
     @settings(**COMMON)
     @given(st.integers(0, 10_000))
     def test_fanout_repair_preserves_function(self, lib, seed):

@@ -7,12 +7,15 @@ and the kernel only ever used on the serial path.
 """
 
 import functools
+import warnings
 
 import pytest
 
 from repro.errors import RunnerError
 from repro.runner import ResultCache, RunJournal, RunStats, evaluate_grid
-from repro.runner import read_journal
+from repro.runner import compile_kernel, read_journal
+from repro.scpg.power_model import Mode
+from repro.subvt.energy import SubvtModel
 
 
 def _square(point):
@@ -214,3 +217,50 @@ class TestKernelParity:
         finally:
             s1.close()
             s2.close()
+
+
+class TestShippedKernels:
+    """``compile_kernel`` on the shipped models: each kernel carries its
+    journal name and returns exactly what the model's own batch method
+    does."""
+
+    def test_scpg_power_kernel(self, mult_study):
+        model = mult_study.model
+        points = [(1e5, Mode.SCPG), (2e6, Mode.SCPG_MAX),
+                  (1e5, Mode.NO_PG)]
+        kernel = compile_kernel(model)
+        assert kernel is not None and kernel.name == "scpg-power"
+        assert [b.total for b in kernel(points)] \
+            == [b.total for b in model._power_points(points)]
+
+    def test_subvt_energy_kernel(self, lib):
+        model = SubvtModel(lib, 1e-12, 1e-6, 1e-8)
+        kernel = compile_kernel(model)
+        assert kernel is not None and kernel.name == "subvt-energy"
+        vdds = [0.25, 0.5]
+        assert [p.energy for p in kernel(vdds)] \
+            == [p.energy for p in model._points_axis(vdds)]
+
+    def test_technique_scpg_kernel_is_warning_free(self, lib):
+        """The technique registry's SCPG comparison model batches
+        through its compiled kernel without a single warning."""
+        from repro.session import Session
+        from repro.techniques import technique
+
+        s = Session(library=lib, cache=False)
+        try:
+            handle = s.design("mult16")
+            e_cycle, _ = handle.switching()
+            scpg = technique("scpg")
+            model = scpg.sweep_model(
+                scpg.transform_for_compare(handle.design, e_cycle),
+                library=lib, e_cycle=e_cycle,
+                base_leakage=handle.leakage(), base_sta=handle.sta())
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                kernel = compile_kernel(model)
+                assert kernel is not None
+                kernel([1e4, 1e6])
+            assert record == []
+        finally:
+            s.close()

@@ -1,15 +1,20 @@
-"""Repo-wide lint: no in-tree caller uses the deprecated kernel names.
+"""Repo-wide API lint: one front door, and no second spellings.
 
-The unified Kernel API (``repro.runner.kernel``) replaced
-``ScpgPowerModel.power_axis`` / ``power_points``,
-``SubvtModel.points_axis`` and the ``batch_fn=`` keyword; the technique
-plugin framework (``repro.techniques``) replaced ``apply_scpg`` and
-``run_scpg_flow``.  The shims stay for external callers, but every
-caller *inside this repository* must be on the new spelling --
-otherwise the deprecation period never ends.  Only the modules that
-implement, re-export or test the shims may mention the old names.
+* The deprecated spellings are gone, not just unused: the Kernel API
+  (``repro.runner.kernel``) replaced ``ScpgPowerModel.power_axis`` /
+  ``power_points``, ``SubvtModel.points_axis`` and the ``batch_fn=``
+  keyword; the technique registry (``repro.techniques``) replaced
+  ``apply_scpg`` and ``run_scpg_flow``; ``Session.study`` replaced the
+  top-level ``multiplier_study`` / ``cortex_m0_study``.  The test-only
+  subsystems ``repro.flows.optimize``, ``repro.sim.saif`` and
+  ``repro.sim.vcd`` are gone too.
+* The case studies have one front door: only ``repro.session`` imports
+  ``repro.paper`` (tests may, for its private helpers).
+* Product code reaches circuits through the design database.
 """
 
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -17,76 +22,85 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: Deprecated spelling -> regex that catches a live use of it.  The
-#: leading ``.`` / word boundary keeps the blessed ``_``-prefixed
-#: internals (``model._power_axis``) from matching.
-DEPRECATED = {
-    "ScpgPowerModel.power_axis": re.compile(r"\.power_axis\("),
-    "ScpgPowerModel.power_points": re.compile(r"\.power_points\("),
-    "SubvtModel.points_axis": re.compile(r"\.points_axis\("),
-    "batch_fn= keyword": re.compile(r"\bbatch_fn\s*="),
-    # The un-prefixed SCPG entry points: both a call and any import
-    # (``from x import apply_scpg`` has no ``(`` to anchor on).
-    "apply_scpg entry point": re.compile(
-        r"(\bimport\s+[^\n]*\bapply_scpg\b|(?<!_)\bapply_scpg\s*\()"),
-    "run_scpg_flow entry point": re.compile(
-        r"(\bimport\s+[^\n]*\brun_scpg_flow\b|(?<!_)\brun_scpg_flow\s*\()"),
-}
+#: ``(module[:class], attribute)`` pairs that must no longer exist.
+REMOVED_ATTRIBUTES = (
+    ("repro.scpg.power_model:ScpgPowerModel", "power_axis"),
+    ("repro.scpg.power_model:ScpgPowerModel", "power_points"),
+    ("repro.subvt.energy:SubvtModel", "points_axis"),
+    ("repro.scpg.transform", "apply_scpg"),
+    ("repro.scpg", "apply_scpg"),
+    ("repro", "apply_scpg"),
+    ("repro.flows.scpg_flow", "run_scpg_flow"),
+    ("repro.flows", "run_scpg_flow"),
+    ("repro", "multiplier_study"),
+    ("repro", "cortex_m0_study"),
+)
 
-#: The only files allowed to spell the old names: the shim
-#: implementations and the tests that pin their behaviour.
-ALLOWED = {
-    "src/repro/scpg/power_model.py",
-    "src/repro/subvt/energy.py",
-    "src/repro/runner/core.py",
-    "src/repro/runner/kernel.py",
-    "src/repro/scpg/transform.py",     # apply_scpg shim lives here
-    "src/repro/scpg/__init__.py",      # re-exports the shim
-    "src/repro/flows/scpg_flow.py",    # run_scpg_flow shim lives here
-    "src/repro/flows/__init__.py",     # re-exports the shim
-    "src/repro/__init__.py",           # top-level re-export
-    "tests/runner/test_deprecations.py",
-    "tests/techniques/test_deprecations.py",
-    "tests/test_api_lint.py",
-}
-
-SCAN_DIRS = ("src", "tests", "benchmarks", "scripts")
+REMOVED_MODULES = ("repro.flows.optimize", "repro.sim.saif",
+                   "repro.sim.vcd")
 
 
-def iter_sources():
-    for top in SCAN_DIRS:
-        root = REPO / top
-        if root.is_dir():
-            yield from sorted(root.rglob("*.py"))
+def _resolve(owner):
+    module, _, cls = owner.partition(":")
+    obj = importlib.import_module(module)
+    return getattr(obj, cls) if cls else obj
 
 
-class TestNoDeprecatedCallers:
+def _short(owner, attr):
+    return "{}.{}".format(owner.rpartition(":")[2], attr)
+
+
+class TestRemovedNamesAreGone:
+    @pytest.mark.parametrize(
+        "owner, attr", REMOVED_ATTRIBUTES,
+        ids=[_short(owner, attr) for owner, attr in REMOVED_ATTRIBUTES])
+    def test_gone(self, owner, attr):
+        assert not hasattr(_resolve(owner), attr)
+
+    @pytest.mark.parametrize("name", ("evaluate_grid", "Runner.run"))
+    def test_no_batch_fn_parameter(self, name):
+        fn = importlib.import_module("repro.runner.core")
+        for part in name.split("."):
+            fn = getattr(fn, part)
+        params = inspect.signature(fn).parameters
+        assert "kernel" in params
+        assert "batch_fn" not in params
+
+    @pytest.mark.parametrize("name", REMOVED_MODULES)
+    def test_module_gone(self, name):
+        with pytest.raises(ImportError):
+            importlib.import_module(name)
+
+
+#: Any import of ``repro.paper``: absolute, relative, or as a submodule.
+PAPER_IMPORT = re.compile(
+    r"^\s*(?:from\s+(?:repro\.|\.+)paper\b"
+    r"|from\s+(?:repro|\.+)\s+import\s+[^#\n]*\bpaper\b"
+    r"|import\s+repro\.paper\b)", re.M)
+PAPER_SCAN_DIRS = ("src", "benchmarks", "scripts", "examples")
+PAPER_ALLOWED = "src/repro/session.py"
+
+
+class TestStudiesBehindTheSession:
+    def _sources(self):
+        for top in PAPER_SCAN_DIRS:
+            yield from sorted((REPO / top).rglob("*.py"))
+
     def test_scan_finds_the_sources(self):
-        files = list(iter_sources())
+        files = list(self._sources())
         assert len(files) > 50  # the scan really walked the tree
+        session = (REPO / PAPER_ALLOWED).read_text()
+        assert PAPER_IMPORT.search(session)  # the pattern really matches
 
-    @pytest.mark.parametrize("name", sorted(DEPRECATED))
-    def test_no_in_repo_use(self, name):
-        pattern = DEPRECATED[name]
-        offenders = []
-        for path in iter_sources():
-            rel = path.relative_to(REPO).as_posix()
-            if rel in ALLOWED:
-                continue
-            for lineno, line in enumerate(
-                    path.read_text().splitlines(), 1):
-                if pattern.search(line):
-                    offenders.append("{}:{}: {}".format(
-                        rel, lineno, line.strip()))
+    def test_only_the_session_imports_paper(self):
+        offenders = [
+            path.relative_to(REPO).as_posix()
+            for path in self._sources()
+            if path.relative_to(REPO).as_posix() != PAPER_ALLOWED
+            and PAPER_IMPORT.search(path.read_text())]
         assert not offenders, (
-            "{} is deprecated; use the Kernel API "
-            "(repro.runner.kernel):\n{}".format(
-                name, "\n".join(offenders)))
-
-    def test_allowlist_entries_exist(self):
-        """A deleted shim file must leave the allowlist too."""
-        for rel in ALLOWED:
-            assert (REPO / rel).is_file(), rel
+            "reach the case studies through Session.study, not "
+            "repro.paper: {}".format(", ".join(offenders)))
 
 
 #: The pre-database circuit constructors.  Product code goes through the

@@ -138,17 +138,27 @@ class TestReports:
 
 
 class TestTable:
-    def test_table1_fast(self, capsys, mult_study):
-        # mult_study warms the same memoised study the CLI uses.
+    def test_table1_fast(self, capsys):
         assert main(["table", "1", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "TABLE I" in out
         assert "14.30" in out
 
-    def test_table_to_file(self, tmp_path, mult_study):
+    def test_table_to_file(self, tmp_path):
         path = tmp_path / "t1.txt"
         assert main(["table", "1", "--fast", "--out", str(path)]) == 0
         assert "Saving" in path.read_text()
+
+    def test_table_honours_liberty(self, capsys, tmp_path):
+        """The case study is built on the session's library, so a
+        missing ``--liberty`` file fails instead of printing scl90
+        numbers."""
+        missing = tmp_path / "missing.lib"
+        assert main(["--liberty", str(missing), "table", "1",
+                     "--fast"]) == 1
+        captured = capsys.readouterr()
+        assert "TABLE I" not in captured.out
+        assert captured.err.startswith("error:")
 
 
 class TestSubvtCommand:

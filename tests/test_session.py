@@ -114,6 +114,18 @@ class TestSession:
         assert session.stats.to_dict()["points"] > 0
 
 
+class TestSessionStudies:
+    def test_study_built_on_the_session_library(self, lib):
+        s = Session(library=lib, cache=False)
+        assert s.study("mult16", fast=True).library is lib
+
+    def test_unknown_study_lists_the_known_ones(self, session):
+        from repro.errors import ReproError
+
+        with pytest.raises(ReproError, match="mult16, m0lite"):
+            session.study("mult32")
+
+
 class TestDesignHandleAnalyses:
     """One cheap design exercised end to end through the facade."""
 
