@@ -62,7 +62,7 @@ def test_hold_contract_in_simulation(benchmark, mult_study):
     def run_gated():
         tb = ClockedTestbench(mult_study.scpg.flat.top,
                               record_toggles=False)
-        tb.reset_flops()
+        tb.force_flops()
         tb.apply({"override_n": 1})  # gating active
         rng = random.Random(77)
         prev = None

@@ -68,7 +68,7 @@ def _run_event(module, vectors):
     from repro.sim.testbench import ClockedTestbench
 
     tb = ClockedTestbench(module)
-    tb.reset_flops(0)
+    tb.force_flops(0)
     recorder = GroupRecorder(tb.sim, GROUP_SIZE)
     for vec in vectors:
         tb.cycle(vec)

@@ -51,7 +51,7 @@ def main():
     # 1. Build and sanity-simulate the custom design.
     mac = build_mac8(lib)
     tb = ClockedTestbench(mac)
-    tb.reset_flops()
+    tb.force_flops()
     rng = random.Random(7)
     expected = 0
     for _ in range(20):

@@ -48,7 +48,7 @@ def main():
 
     lib = session.library
     tb = ClockedTestbench(build_mult16(lib))
-    tb.reset_flops()
+    tb.force_flops()
     rng = random.Random(0)
     for _ in range(200):
         tb.cycle({**bus_values("a", 16, rng.getrandbits(16)),

@@ -79,13 +79,6 @@ def _load_library(args):
     return _session(args).library
 
 
-def _resolve_design(name, library):
-    """Deprecated shim: use :func:`repro.circuits.registry.resolve`."""
-    from .circuits import registry
-
-    return registry.resolve(name, library)
-
-
 def _out(args, text):
     if getattr(args, "out", None):
         with open(args.out, "w") as f:
@@ -155,7 +148,7 @@ def cmd_sta(args):
     from .sta.report import render_timing_report
 
     handle = _session(args).design(args.design)
-    result = handle.sta(vdd=args.vdd if args.vdd else None)
+    result = handle.sta(vdd=args.vdd)
     _out(args, render_timing_report(result,
                                     design=handle.design.top.name,
                                     clock=args.clock))
@@ -205,7 +198,7 @@ def cmd_compare(args):
         if args.freqs else None
     comparison = session.compare_techniques(
         args.design, freqs=freqs, techniques=techniques,
-        vdd=args.vdd if args.vdd else None)
+        vdd=args.vdd)
     text = format_comparison(comparison) + "\n"
     if args.json:
         with open(args.json, "w") as f:
@@ -218,6 +211,18 @@ def cmd_compare(args):
     return 0
 
 
+def _vdd(text):
+    """``--vdd`` argument type: a supply voltage in volts, > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not value > 0:
+        raise argparse.ArgumentTypeError(
+            "expected a positive voltage, got {!r}".format(text))
+    return value
+
+
 def _axis_values(spec, text):
     """Parse a ``--param name=v1,v2`` value list using the declared type."""
     values = []
@@ -225,10 +230,12 @@ def _axis_values(spec, text):
         chunk = chunk.strip()
         if spec.type is bool:
             values.append(chunk.lower() in ("1", "true", "yes"))
-        elif spec.type is float:
-            values.append(float(chunk))
-        elif spec.type is int:
-            values.append(int(chunk))
+        elif spec.type in (int, float):
+            try:
+                values.append(spec.type(chunk))
+            except ValueError:
+                raise ReproError("--param {}: {!r} is not {}".format(
+                    spec.name, chunk, spec.type.__name__)) from None
         else:
             values.append(chunk)
     return values
@@ -466,14 +473,14 @@ def build_parser():
     p = sub.add_parser("sta", help="timing report")
     p.add_argument("design")
     p.add_argument("--clock", default="clk")
-    p.add_argument("--vdd", type=float)
+    p.add_argument("--vdd", type=_vdd)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sta)
 
     p = sub.add_parser("power", help="power report")
     p.add_argument("design")
     p.add_argument("--freq", default="1MHz")
-    p.add_argument("--vdd", type=float)
+    p.add_argument("--vdd", type=_vdd)
     p.add_argument("--out")
     p.set_defaults(func=cmd_power)
 
@@ -493,7 +500,7 @@ def build_parser():
     p.add_argument("--freqs", metavar="F1,F2,...",
                    help="comma-separated frequency grid, SI suffixes "
                    "allowed (default: 10kHz,100kHz,1MHz,5MHz)")
-    p.add_argument("--vdd", type=float,
+    p.add_argument("--vdd", type=_vdd,
                    help="operating supply (default: library nominal)")
     p.add_argument("--json", metavar="PATH",
                    help="also write the comparison as JSON to PATH")

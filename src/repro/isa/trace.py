@@ -8,17 +8,18 @@ ISS and the netlist and verifies architectural equivalence, which is the
 evidence that the substituted processor is a faithful workload vehicle for
 the power study.
 
-Two engines sit behind the same protocol.  The default ``engine="auto"``
-steps the netlist through a
-:class:`~repro.sim.compiled.ClosedLoopStepper` -- settled single-row
-phases over the SoA arrays, with precomputed integer-indexed
-:class:`~repro.sim.compiled.BusView` accessors replacing the per-bit
-``read_bus`` / ``set_inputs`` dict traffic -- whenever the module is
-:meth:`~repro.sim.compiled.CompiledSchedule.vector_ready` and carries
-the full M0-lite memory interface (the SCPG-transformed core included).
-Otherwise it transparently falls back to the event-driven
-:class:`~repro.sim.event.Simulator`.  Cycle
-counts, architectural state, and the grouped toggle trace are
+Two engines sit behind the same protocol, and :class:`GateLevelCpu` is
+written once against it: the constructor picks the driver, nothing after
+it asks which.  The default ``engine="auto"`` drives a
+:class:`~repro.sim.compiled.ClosedLoopStepper` (settled single-row phases
+over the SoA arrays, integer-indexed :class:`~repro.sim.compiled.BusView`
+memory feeds) whenever the module is
+:meth:`~repro.sim.compiled.CompiledSchedule.vector_ready` and carries the
+full M0-lite memory interface (the SCPG-transformed core included);
+otherwise a :class:`~repro.sim.testbench.ClockedTestbench` over the event
+:class:`~repro.sim.event.Simulator`.  One
+:class:`~repro.sim.activity.GroupRecorder` groups either driver's toggles.
+Cycle counts, architectural state, and the grouped toggle trace are
 bit-identical across both engines (asserted by the differential tests in
 ``tests/integration/test_cosim_random.py``).
 """
@@ -30,10 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import IsaError, SimulationError
-from ..sim.activity import ActivityTrace, GroupActivity, GroupRecorder
-from ..sim.testbench import read_bus
-from ..sim.event import Simulator
+from ..sim.activity import GroupRecorder
 from ..sim.logic import X
+from ..sim.testbench import ClockedTestbench
 from .cpu import M0LiteCpu
 from .encoding import MASK32
 
@@ -75,55 +75,37 @@ class GateLevelCpu:
         self.group_size = group_size
         self._record_states = record_states
         self._states = []
-        self._state_names = None
 
-        stepper = None
+        driver = None
         if engine != "event":
             from ..sim.compiled import schedule_for
 
             schedule = schedule_for(module)
             ok, why = self._compiled_ready(schedule)
             if ok:
-                stepper = schedule.stepper(
+                driver = schedule.stepper(
                     "clk", record_toggles=record_toggles)
             elif engine == "compiled":
                 raise SimulationError(
                     "compiled co-sim unavailable for {}: {}".format(
                         module.name, why))
-
-        if stepper is not None:
-            self.engine = "compiled"
-            self._stepper = stepper
-            soa = stepper.soa
-            self._iaddr = stepper.output_bus("iaddr", 32)
-            self._daddr = stepper.output_bus("daddr", 32)
-            self._dwdata = stepper.output_bus("dwdata", 32)
-            self._idata = stepper.input_bus("idata", 16)
-            self._drdata = stepper.input_bus("drdata", 32)
-            self._dwrite_idx = soa.net_index["dwrite"]
-            self._halted_idx = soa.net_index["halted"]
-            rf = np.empty((16, 32), dtype=np.int64)
-            for r in range(16):
-                for b in range(32):
-                    row = stepper._seq_rows["rf{}_{}".format(r, b)]
-                    rf[r, b] = soa.seq_q[row]
-            self._rf_q = rf
-            self._rf_pow2 = np.int64(1) << np.arange(32, dtype=np.int64)
-            self._trace = ActivityTrace()
-            self._group_base = np.zeros(soa.n_nets, dtype=np.int64)
-            self._cycles_in_group = 0
-            self._names_arr = np.asarray(soa.net_names, dtype=object)
-        else:
+        if driver is None:
+            driver = ClockedTestbench(module, record_toggles=record_toggles)
             self.engine = "event"
-            self.sim = Simulator(module, record_toggles=record_toggles)
-            self.recorder = GroupRecorder(self.sim, group_size)
-            # Key tuples built once: the per-cycle feed path must not
-            # re-format 48 net-name strings every cycle.
-            self._idata_keys = tuple(
-                "idata_{}".format(i) for i in range(16))
-            self._drdata_keys = tuple(
-                "drdata_{}".format(i) for i in range(32))
+        else:
+            self.engine = "compiled"
+        self._driver = driver
+        self._iaddr = driver.output_bus("iaddr", 32)
+        self._daddr = driver.output_bus("daddr", 32)
+        self._dwdata = driver.output_bus("dwdata", 32)
+        self._idata = driver.input_bus("idata", 16)
+        self._drdata = driver.input_bus("drdata", 32)
         self._reset()
+        self._recorder = GroupRecorder(driver, group_size)
+
+    #: Memory-data input pins, formatted once.
+    _idata_keys = tuple("idata_{}".format(i) for i in range(16))
+    _drdata_keys = tuple("drdata_{}".format(i) for i in range(32))
 
     @staticmethod
     def _compiled_ready(schedule):
@@ -135,17 +117,12 @@ class GateLevelCpu:
         if not ok:
             return False, why
         soa = schedule.soa
-        if "rstn" not in soa.input_ports:
-            return False, "no input port rstn"
-        for name, width in (("idata", 16), ("drdata", 32)):
-            for i in range(width):
-                if "{}_{}".format(name, i) not in soa.input_ports:
-                    return False, "no input port {}_{}".format(name, i)
-        for name, width in (("iaddr", 32), ("daddr", 32), ("dwdata", 32)):
-            for i in range(width):
-                if "{}_{}".format(name, i) not in soa.net_index:
-                    return False, "no net {}_{}".format(name, i)
-        for name in ("dwrite", "halted"):
+        for name in ("rstn",) + GateLevelCpu._idata_keys \
+                + GateLevelCpu._drdata_keys:
+            if name not in soa.input_ports:
+                return False, "no input port {}".format(name)
+        for name in ["{}_{}".format(bus, i) for bus in ("iaddr", "daddr",
+                     "dwdata") for i in range(32)] + ["dwrite", "halted"]:
             if name not in soa.net_index:
                 return False, "no net {}".format(name)
         seq = {n: r for r, n in enumerate(soa.seq_names)}
@@ -162,61 +139,28 @@ class GateLevelCpu:
     _extra_reset_inputs = {}
 
     def _reset(self):
-        extra = self._extra_reset_inputs
-        if self.engine == "compiled":
-            st = self._stepper
-            st.force_flops(0)
-            st.apply({"clk": 0, "rstn": 0, **extra})
-            self._feed_memories()
-            # One reset cycle.
-            st.posedge()
-            st.negedge()
-            st.apply({"rstn": 1})
-            self._feed_memories()
-            st.reset_toggles()
-            self._group_base[:] = 0
-            return
-        sim = self.sim
-        sim.force_flop_state(0)
-        sim.set_inputs({"clk": 0, "rstn": 0, **extra})
+        d = self._driver
+        d.force_flops(0)
+        d.apply({"clk": 0, "rstn": 0, **self._extra_reset_inputs})
         self._feed_memories()
         # One reset cycle.
-        sim.set_input("clk", 1)
-        sim.set_input("clk", 0)
-        sim.set_input("rstn", 1)
+        d.posedge()
+        d.negedge()
+        d.apply({"rstn": 1})
         self._feed_memories()
-        sim.reset_toggles()
+        d.reset_toggles()
 
     def _feed_memories(self):
-        if self.engine == "compiled":
-            iaddr = self._iaddr.read()
-            word = 0x7000  # NOP on X/out-of-range address
-            if iaddr is not None and iaddr < len(self.program):
-                word = self.program[iaddr]
-            self._idata.drive(word)
-            daddr = self._daddr.read()
-            data = 0
-            if daddr is not None:
-                data = self.memory.get(daddr & ~3 & MASK32, 0)
-            self._drdata.drive(data)
-            return
-        sim = self.sim
-        iaddr = read_bus(sim, "iaddr", 32)
+        iaddr = self._iaddr.read()
         word = 0x7000  # NOP on X/out-of-range address
         if iaddr is not None and iaddr < len(self.program):
             word = self.program[iaddr]
-        sim.set_inputs(
-            {key: (word >> i) & 1
-             for i, key in enumerate(self._idata_keys)}
-        )
-        daddr = read_bus(sim, "daddr", 32)
+        self._idata.drive(word)
+        daddr = self._daddr.read()
         data = 0
         if daddr is not None:
             data = self.memory.get(daddr & ~3 & MASK32, 0)
-        sim.set_inputs(
-            {key: (data >> i) & 1
-             for i, key in enumerate(self._drdata_keys)}
-        )
+        self._drdata.drive(data)
 
     def step(self):
         """Advance one clock cycle: commit stores, clock edge, then feed
@@ -231,74 +175,23 @@ class GateLevelCpu:
         sampling points are identical, since no combinational path depends
         on the clock level).
         """
-        if self.engine == "compiled":
-            st = self._stepper
-            if int(st._state[self._dwrite_idx]) == 1:
-                addr = self._daddr.read()
-                data = self._dwdata.read()
-                if addr is None or data is None:
-                    raise SimulationError("store with X address or data")
-                if addr % 4:
-                    raise IsaError(
-                        "unaligned gate-level store at {:#x}".format(addr))
-                self.memory[addr] = data
-            st.posedge()
-            st.negedge()
-            self._feed_memories()
-            self.cycles += 1
-            self._cycles_in_group += 1
-            if self._cycles_in_group >= self.group_size:
-                self._flush_group()
-        else:
-            sim = self.sim
-            if sim.value("dwrite") == 1:
-                addr = read_bus(sim, "daddr", 32)
-                data = read_bus(sim, "dwdata", 32)
-                if addr is None or data is None:
-                    raise SimulationError("store with X address or data")
-                if addr % 4:
-                    raise IsaError(
-                        "unaligned gate-level store at {:#x}".format(addr))
-                self.memory[addr] = data
-            sim.set_input("clk", 1)
-            sim.set_input("clk", 0)
-            self._feed_memories()
-            self.cycles += 1
-            self.recorder.after_cycle()
+        d = self._driver
+        if d.value("dwrite") == 1:
+            addr = self._daddr.read()
+            data = self._dwdata.read()
+            if addr is None or data is None:
+                raise SimulationError("store with X address or data")
+            if addr % 4:
+                raise IsaError(
+                    "unaligned gate-level store at {:#x}".format(addr))
+            self.memory[addr] = data
+        d.posedge()
+        d.negedge()
+        self._feed_memories()
+        self.cycles += 1
+        self._recorder.after_cycle()
         if self._record_states:
-            self._states.append(self._state_row())
-
-    def _flush_group(self):
-        """Close the current toggle group (compiled engine; no-op when
-        empty -- :class:`~repro.sim.activity.GroupRecorder` parity)."""
-        if self._cycles_in_group == 0:
-            return
-        soa = self._stepper.soa
-        counts = self._stepper.toggle_counts
-        delta = counts - self._group_base
-        nz = np.nonzero(delta)[0]
-        self._trace.groups.append(GroupActivity(
-            index=len(self._trace.groups),
-            cycles=self._cycles_in_group,
-            total_toggles=int(delta.sum()),
-            nets=soa.non_const_nets,
-            toggles=dict(zip(self._names_arr[nz].tolist(),
-                             delta[nz].tolist())),
-        ))
-        self._group_base = counts.copy()
-        self._cycles_in_group = 0
-
-    def _state_row(self):
-        """The settled value row, ``module.nets()`` order, ``int8``."""
-        if self.engine == "compiled":
-            return self._stepper.state_row()
-        if self._state_names is None:
-            self._state_names = [n.name for n in self.module.nets()]
-        snap = self.sim.state_snapshot()
-        return np.asarray(
-            [v if v in (0, 1) else X
-             for v in (snap.get(name) for name in self._state_names)],
-            dtype=np.int8)
+            self._states.append(d.state_row())
 
     def run(self, max_cycles=100_000):
         """Step until ``halted`` rises; returns cycles taken."""
@@ -308,29 +201,19 @@ class GateLevelCpu:
                 raise SimulationError(
                     "core did not halt in {} cycles".format(max_cycles))
             self.step()
-        if self.engine == "compiled":
-            self._flush_group()
-        else:
-            self.recorder.flush()
+        self._recorder.flush()
         return self.cycles - start
 
     @property
     def halted(self):
         """True when the core has executed HALT."""
-        if self.engine == "compiled":
-            return int(self._stepper._state[self._halted_idx]) == 1
-        return self.sim.value("halted") == 1
+        return self._driver.value("halted") == 1
 
     def register(self, index):
         """Architectural register value from the netlist flip-flops."""
-        if self.engine == "compiled":
-            row = self._stepper._state[self._rf_q[index]]
-            if (row == X).any():
-                return None
-            return int(row.astype(np.int64) @ self._rf_pow2)
         value = 0
         for bit in range(32):
-            v = self.sim.flop_q("rf{}_{}".format(index, bit))
+            v = self._driver.flop_q("rf{}_{}".format(index, bit))
             if v == X:
                 return None
             value |= v << bit
@@ -342,33 +225,23 @@ class GateLevelCpu:
 
     def activity_trace(self):
         """Grouped switching activity recorded so far."""
-        if self.engine == "compiled":
-            self._flush_group()
-            return self._trace
-        self.recorder.flush()
-        return self.recorder.trace
+        self._recorder.flush()
+        return self._recorder.trace
 
     def toggle_snapshot(self):
         """Per-net toggle counts as dict name -> count (both engines
         return the same dict for the same program)."""
-        if self.engine == "compiled":
-            return self._stepper.toggle_snapshot()
-        return self.sim.toggle_snapshot()
+        return dict(zip(self._driver.net_names,
+                        self._driver.toggle_counts.tolist()))
 
     def value(self, net_name):
         """Current settled 0/1/X value of one net."""
-        if self.engine == "compiled":
-            return self._stepper.value(net_name)
-        return self.sim.value(net_name)
+        return self._driver.value(net_name)
 
     @property
     def state_net_names(self):
         """Net-name order of :meth:`state_trace` columns."""
-        if self.engine == "compiled":
-            return list(self._stepper.soa.net_names)
-        if self._state_names is None:
-            self._state_names = [n.name for n in self.module.nets()]
-        return list(self._state_names)
+        return list(self._driver.net_names)
 
     def state_trace(self):
         """Per-cycle settled net values, ``(cycles, n_nets)`` ``int8``.

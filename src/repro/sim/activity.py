@@ -6,11 +6,17 @@ the per-group switching probability (Fig. 7), and picks the maximum /
 minimum / average groups for detailed HSpice power simulation.  This module
 reproduces that pipeline on our simulator: toggle counts per group, the
 switching-probability series, and the representative-group selection.
+
+Every group comes from :func:`group_from_delta` over a per-net toggle
+delta: :class:`GroupRecorder` diffs any stepping driver's
+``toggle_counts``, the batched replay sums blocks of its toggle matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -74,16 +80,37 @@ class ActivityTrace:
         )
 
 
-class GroupRecorder:
-    """Incrementally collect toggle counts into fixed-size cycle groups."""
+def group_from_delta(index, cycles, delta, names, nets):
+    """The :class:`GroupActivity` of one group from its per-net toggle
+    ``delta`` (int array aligned with the object array ``names``);
+    ``nets`` is the non-constant net count."""
+    nz = np.nonzero(delta)[0]
+    return GroupActivity(
+        index=index,
+        cycles=cycles,
+        total_toggles=int(delta.sum()),
+        nets=nets,
+        toggles=dict(zip(names[nz].tolist(), delta[nz].tolist())),
+    )
 
-    def __init__(self, sim, group_size=10):
-        self.sim = sim
+
+class GroupRecorder:
+    """Incrementally collect toggle counts into fixed-size cycle groups.
+
+    ``driver`` exposes ``toggle_counts``, ``net_names`` and
+    ``non_const_nets`` (a :class:`~repro.sim.event.Simulator`,
+    :class:`~repro.sim.testbench.ClockedTestbench` or
+    :class:`~repro.sim.compiled.ClosedLoopStepper`).
+    """
+
+    def __init__(self, driver, group_size=10):
+        self.driver = driver
         self.group_size = group_size
         self.trace = ActivityTrace()
         self._cycles_in_group = 0
-        self._base = dict(sim.toggle_snapshot())
-        self._nets = len([n for n in sim.module.nets() if not n.is_const])
+        self._names = np.asarray(driver.net_names, dtype=object)
+        self._nets = driver.non_const_nets
+        self._base = np.array(driver.toggle_counts, dtype=np.int64)
 
     def after_cycle(self):
         """Call once per simulated cycle."""
@@ -95,22 +122,11 @@ class GroupRecorder:
         """Close the current group (no-op when empty)."""
         if self._cycles_in_group == 0:
             return
-        snap = self.sim.toggle_snapshot()
-        deltas = {
-            name: snap[name] - self._base.get(name, 0)
-            for name in snap
-            if snap[name] != self._base.get(name, 0)
-        }
-        self.trace.groups.append(
-            GroupActivity(
-                index=len(self.trace.groups),
-                cycles=self._cycles_in_group,
-                total_toggles=sum(deltas.values()),
-                nets=self._nets,
-                toggles=deltas,
-            )
-        )
-        self._base = snap
+        counts = np.array(self.driver.toggle_counts, dtype=np.int64)
+        self.trace.groups.append(group_from_delta(
+            len(self.trace.groups), self._cycles_in_group,
+            counts - self._base, self._names, self._nets))
+        self._base = counts
         self._cycles_in_group = 0
 
 

@@ -53,8 +53,9 @@ from ..errors import NetlistError, SimulationError
 from ..netlist.core import Module
 from ..netlist.soa import lower_soa
 from ..runner.kernel import CompiledKernel, Kernel, register_kernel
-from .activity import ActivityTrace, GroupActivity
+from .activity import ActivityTrace, GroupRecorder, group_from_delta
 from .logic import X, to_ternary
+from .testbench import ClockedTestbench
 
 
 def _diff(a, b):
@@ -367,17 +368,12 @@ class CompiledSchedule:
 
         if group_size is not None:
             trace = ActivityTrace()
+            names = np.asarray(soa.net_names, dtype=object)
             for start in range(0, len(vectors), group_size):
                 block = toggle_matrix[start:start + group_size]
-                sums = block.sum(axis=0)
-                nz = np.nonzero(sums)[0]
-                trace.groups.append(GroupActivity(
-                    index=len(trace.groups),
-                    cycles=block.shape[0],
-                    total_toggles=int(sums.sum()),
-                    nets=soa.non_const_nets,
-                    toggles={soa.net_names[i]: int(sums[i]) for i in nz},
-                ))
+                trace.groups.append(group_from_delta(
+                    len(trace.groups), block.shape[0], block.sum(axis=0),
+                    names, soa.non_const_nets))
         else:
             trace = None
 
@@ -468,13 +464,10 @@ class CompiledSchedule:
                 "schedule for {} needs the event simulator ({}), but was "
                 "restored without its module".format(
                     self.soa.module_name if self.soa else "?", self.why))
-        from .activity import GroupRecorder
-        from .testbench import ClockedTestbench
-
         tb = ClockedTestbench(self._module, clock=clock)
-        tb.reset_flops(reset)
+        tb.force_flops(reset)
         recorder = None if group_size is None \
-            else GroupRecorder(tb.sim, group_size)
+            else GroupRecorder(tb, group_size)
         for vec in vectors:
             tb.cycle(vec)
             if recorder is not None:
@@ -486,8 +479,7 @@ class CompiledSchedule:
             engine="event",
             toggles=tb.sim.toggle_snapshot(),
             trace=None if recorder is None else recorder.trace,
-            final_values={net.name: tb.sim.value(net.name)
-                          for net in self._module.nets()},
+            final_values=dict(zip(tb.net_names, tb.sim.values)),
         )
 
     # -- public API ----------------------------------------------------------
@@ -609,6 +601,8 @@ class ClosedLoopStepper:
     This is the engine under :class:`repro.isa.trace.GateLevelCpu`'s
     compiled mode; anything per-cycle-interactive can drive it directly
     via :meth:`apply` / :meth:`cycle` and the :class:`BusView` accessors.
+    :class:`~repro.sim.testbench.ClockedTestbench` speaks the same
+    protocol over the event simulator.
     """
 
     def __init__(self, schedule, clock="clk", record_toggles=True):
@@ -746,6 +740,15 @@ class ClosedLoopStepper:
         """A copy of the settled ``(n_nets,)`` value row (net order =
         ``soa.net_names`` = ``module.nets()`` order)."""
         return self._state.copy()
+
+    @property
+    def net_names(self):
+        """Net names in :meth:`state_row` / :attr:`toggle_counts` order."""
+        return self.soa.net_names
+
+    @property
+    def non_const_nets(self):
+        return self.soa.non_const_nets
 
     def toggle_snapshot(self):
         """Dict net name -> toggle count (``Simulator`` parity)."""

@@ -31,6 +31,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
+import numpy as np
+
 from ..errors import NetlistError, SimulationError
 from ..tech.library import CellKind
 from .logic import X, compile_cell, to_ternary
@@ -83,6 +85,10 @@ class Simulator:
             self._net_index[id(net)] = len(self._nets)
             self._nets.append(net)
         n = len(self._nets)
+        #: Net names in ``module.nets()`` (:attr:`values`) order.
+        self.net_names = tuple(net.name for net in self._nets)
+        self.non_const_nets = sum(1 for net in self._nets
+                                  if not net.is_const)
         self.values = [X] * n
         self.toggles = [0] * n
         self._watchers = []  # callbacks (net, old, new)
@@ -404,6 +410,12 @@ class Simulator:
     def total_toggles(self):
         """Sum of toggle counts over all nets."""
         return sum(self.toggles)
+
+    @property
+    def toggle_counts(self):
+        """Per-net toggle counts as an ``int64`` array (:attr:`net_names`
+        order)."""
+        return np.asarray(self.toggles, dtype=np.int64)
 
     def toggle_snapshot(self):
         """Copy of per-net toggle counts as dict name -> count."""

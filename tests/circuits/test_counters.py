@@ -9,14 +9,14 @@ from repro.sim.testbench import ClockedTestbench, read_bus
 class TestCounter:
     def test_counts_up(self, lib):
         tb = ClockedTestbench(build_counter(lib, width=6))
-        tb.reset_flops()
+        tb.force_flops()
         for expected in range(1, 20):
             tb.cycle()
             assert read_bus(tb.sim, "q", 6) == expected % 64
 
     def test_wraps(self, lib):
         tb = ClockedTestbench(build_counter(lib, width=3))
-        tb.reset_flops()
+        tb.force_flops()
         for _ in range(8):
             tb.cycle()
         assert read_bus(tb.sim, "q", 3) == 0
@@ -25,7 +25,7 @@ class TestCounter:
 class TestLfsr:
     def test_escapes_zero_state(self, lib):
         tb = ClockedTestbench(build_lfsr(lib, width=8))
-        tb.reset_flops()
+        tb.force_flops()
         tb.cycle()
         assert read_bus(tb.sim, "q", 8) != 0
 
@@ -33,7 +33,7 @@ class TestLfsr:
         """XNOR-form LFSR visits 2^n - 1 states (all-ones is the lockup)."""
         width = 8
         tb = ClockedTestbench(build_lfsr(lib, width=width))
-        tb.reset_flops()
+        tb.force_flops()
         seen = set()
         for _ in range(2 ** width):
             tb.cycle()

@@ -36,7 +36,7 @@ class TestRegisteredBehaviour:
     def test_two_cycle_latency(self, lib):
         m = build_mult16(lib)
         tb = ClockedTestbench(m)
-        tb.reset_flops()
+        tb.force_flops()
         tb.cycle({**bus_values("a", 16, 7), **bus_values("b", 16, 9)})
         # One more edge moves the product through the output register.
         tb.cycle({**bus_values("a", 16, 0), **bus_values("b", 16, 0)})
@@ -45,7 +45,7 @@ class TestRegisteredBehaviour:
     def test_pipeline_stream(self, lib):
         m = build_mult16(lib)
         tb = ClockedTestbench(m)
-        tb.reset_flops()
+        tb.force_flops()
         rng = random.Random(42)
         prev = None
         for _ in range(60):

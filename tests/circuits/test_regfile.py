@@ -12,7 +12,7 @@ from repro.sim.testbench import ClockedTestbench, bus_values, read_bus
 @pytest.fixture()
 def rf_tb(lib):
     tb = ClockedTestbench(build_register_file(lib, nregs=8, width=16))
-    tb.reset_flops()
+    tb.force_flops()
     return tb
 
 

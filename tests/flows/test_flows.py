@@ -33,7 +33,7 @@ class TestTraditionalFlow:
 
         result = run_traditional_flow(Design(fresh_mult, lib))
         tb = ClockedTestbench(result.flat.top)
-        tb.reset_flops()
+        tb.force_flops()
         rng = random.Random(1)
         prev = None
         for _ in range(15):

@@ -111,7 +111,7 @@ class TestCts:
 
         synthesize_clock_tree(fresh_mult, lib)
         tb = ClockedTestbench(fresh_mult)
-        tb.reset_flops()
+        tb.force_flops()
         tb.cycle({**bus_values("a", 16, 111), **bus_values("b", 16, 222)})
         tb.cycle({})
         assert read_bus(tb.sim, "p", 32) == 111 * 222

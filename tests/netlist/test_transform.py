@@ -48,7 +48,7 @@ class TestSplit:
         split = split_combinational(design)
         flat = split.design.flatten()
         tb = ClockedTestbench(flat.top)
-        tb.reset_flops()
+        tb.force_flops()
         rng = random.Random(5)
         prev = None
         for _ in range(20):

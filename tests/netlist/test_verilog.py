@@ -65,7 +65,7 @@ class TestRoundTrip:
             ClockedTestbench, bus_values, read_bus)
 
         tb = ClockedTestbench(d2.top)
-        tb.reset_flops()
+        tb.force_flops()
         tb.cycle({**bus_values("a", 16, 1234), **bus_values("b", 16, 567)})
         tb.cycle({})
         assert read_bus(tb.sim, "p", 32) == 1234 * 567

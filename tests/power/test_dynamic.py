@@ -11,7 +11,7 @@ from repro.sim.testbench import ClockedTestbench, bus_values
 
 def _run_mult(mult_module, cycles=40, seed=0, magnitude=0xFFFF):
     tb = ClockedTestbench(mult_module)
-    tb.reset_flops()
+    tb.force_flops()
     rng = random.Random(seed)
     for _ in range(cycles):
         tb.cycle({

@@ -94,7 +94,7 @@ class TestTransitionDensity:
 
         est = estimate_activity(mult_module)
         tb = ClockedTestbench(mult_module)
-        tb.reset_flops()
+        tb.force_flops()
         rng = random.Random(3)
         for _ in range(60):
             tb.cycle({**bus_values("a", 16, rng.getrandbits(16)),

@@ -49,7 +49,7 @@ class TestPowerReport:
         from repro.sim.testbench import ClockedTestbench, bus_values
 
         tb = ClockedTestbench(mult_module)
-        tb.reset_flops()
+        tb.force_flops()
         rng = random.Random(0)
         for _ in range(20):
             tb.cycle({**bus_values("a", 16, rng.getrandbits(16)),

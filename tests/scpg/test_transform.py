@@ -83,7 +83,7 @@ class TestStructure:
 class TestFunctionalEquivalence:
     def _run_products(self, module, override_n, n=25, seed=11):
         tb = ClockedTestbench(module)
-        tb.reset_flops()
+        tb.force_flops()
         tb.apply({"override_n": override_n})
         rng = random.Random(seed)
         results = []
@@ -103,7 +103,7 @@ class TestFunctionalEquivalence:
 
         base = build_mult16(lib)
         tb = ClockedTestbench(base)
-        tb.reset_flops()
+        tb.force_flops()
         rng = random.Random(11)
         expected = []
         for _ in range(25):

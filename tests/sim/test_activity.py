@@ -69,7 +69,7 @@ class TestGrouping:
         trace = group_activity(mult_module, _mult_vectors(rng, 20))
         total = sum(g.total_toggles for g in trace.groups)
         tb = ClockedTestbench(mult_module)
-        tb.reset_flops()
+        tb.force_flops()
         rng = random.Random(6)
         for vec in _mult_vectors(rng, 20):
             tb.cycle(vec)
@@ -79,7 +79,7 @@ class TestGrouping:
 class TestRecorder:
     def test_flush_idempotent(self, mult_module):
         tb = ClockedTestbench(mult_module)
-        tb.reset_flops()
+        tb.force_flops()
         rec = GroupRecorder(tb.sim, group_size=10)
         tb.cycle(bus_values("a", 16, 5))
         rec.after_cycle()

@@ -248,7 +248,7 @@ class TestEligibilityAndFallback:
         from repro.sim.testbench import ClockedTestbench
 
         tb = ClockedTestbench(module)
-        tb.reset_flops(0)
+        tb.force_flops(0)
         tb.run(vectors)
         assert run.toggle_snapshot() == tb.sim.toggle_snapshot()
         assert run.value("q") == tb.sim.value("q") == 0

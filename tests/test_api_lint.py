@@ -34,6 +34,8 @@ REMOVED_ATTRIBUTES = (
     ("repro.flows", "run_scpg_flow"),
     ("repro", "multiplier_study"),
     ("repro", "cortex_m0_study"),
+    ("repro.cli", "_resolve_design"),
+    ("repro.sim.testbench:ClockedTestbench", "reset_flops"),
 )
 
 REMOVED_MODULES = ("repro.flows.optimize", "repro.sim.saif",

@@ -88,6 +88,16 @@ class TestDesigns:
                      "--param", "n=0"]) == 1
         assert "multiplier.n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ("x", "4.5"))
+    def test_param_type_error(self, value, capsys):
+        """A value of the wrong type is an ``error:`` line naming the
+        parameter and its type, not a traceback."""
+        assert main(["designs", "sweep", "multiplier",
+                     "--param", "n={}".format(value)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--param n" in err and "int" in err
+
 
 class TestScpg:
     def test_transform_outputs(self, tmp_path, capsys):
@@ -129,6 +139,19 @@ class TestReports:
         main(["sta", "counter16", "--vdd", "0.4"])
         low = capsys.readouterr().out
         assert nominal != low
+
+    @pytest.mark.parametrize("argv", (
+        ["power", "mult16", "--vdd", "0"],
+        ["power", "mult16", "--vdd", "-1"],
+        ["sta", "mult16", "--vdd", "-0.5"],
+        ["compare", "mult16", "--vdd", "0"],
+    ))
+    def test_nonpositive_vdd_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code != 0
+        err = capsys.readouterr().err
+        assert "error:" in err and "--vdd" in err
 
     def test_power_report(self, capsys):
         assert main(["power", "counter16", "--freq", "5MHz"]) == 0
