@@ -19,20 +19,50 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass
 class GroupActivity:
     """Activity of one vector group.
 
     ``switching_probability`` is the average per-net toggle rate per cycle
     (the paper's y-axis); ``toggles`` maps net name -> count for the power
-    engine.
+    engine.  A group made by :func:`group_from_delta` keeps its toggles as
+    a sparse delta (nonzero net indices, their counts and the shared names
+    array) and builds the dict on first access -- a long run records
+    hundreds of groups whose dicts nothing may read.  Fields, ``==`` and
+    the dict contents are those of an eagerly built group.
     """
 
-    index: int
-    cycles: int
-    total_toggles: int
-    nets: int
-    toggles: dict = field(default_factory=dict)
+    def __init__(self, index, cycles, total_toggles, nets, toggles=None):
+        self.index = index
+        self.cycles = cycles
+        self.total_toggles = total_toggles
+        self.nets = nets
+        self._toggles = {} if toggles is None else toggles
+        self._sparse = None
+
+    @property
+    def toggles(self):
+        """Net name -> toggle count (nonzero nets only when built from a
+        delta)."""
+        if self._toggles is None:
+            names, nz, counts = self._sparse
+            self._toggles = dict(zip(names[nz].tolist(), counts.tolist()))
+            self._sparse = None
+        return self._toggles
+
+    def _key(self):
+        return (self.index, self.cycles, self.total_toggles, self.nets,
+                self.toggles)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return ("GroupActivity(index={!r}, cycles={!r}, total_toggles={!r}, "
+                "nets={!r}, toggles={!r})".format(*self._key()))
 
     @property
     def switching_probability(self):
@@ -83,15 +113,13 @@ class ActivityTrace:
 def group_from_delta(index, cycles, delta, names, nets):
     """The :class:`GroupActivity` of one group from its per-net toggle
     ``delta`` (int array aligned with the object array ``names``);
-    ``nets`` is the non-constant net count."""
+    ``nets`` is the non-constant net count.  The ``toggles`` dict is
+    built lazily from the kept nonzero entries."""
     nz = np.nonzero(delta)[0]
-    return GroupActivity(
-        index=index,
-        cycles=cycles,
-        total_toggles=int(delta.sum()),
-        nets=nets,
-        toggles=dict(zip(names[nz].tolist(), delta[nz].tolist())),
-    )
+    group = GroupActivity(index, cycles, int(delta.sum()), nets)
+    group._toggles = None
+    group._sparse = (names, nz, delta[nz])
+    return group
 
 
 class GroupRecorder:

@@ -7,8 +7,11 @@ workload of input vectors then simulates as a handful of batched numpy
 passes instead of per-event Python dispatch: each clock cycle is three
 settled states (inputs applied with the clock low, the rising edge, the
 falling edge), every state is one levelized sweep over a ``(cycles,
-nets)`` value matrix, and flip-flops sample vectorized with the event
-simulator's exact rules (pre-settle D/EN, async RN dominance, X edges).
+nets)`` value matrix, and flip-flops sample with the event simulator's
+exact rules (pre-settle D/EN, async RN dominance, X edges) through one
+fused lookup: :func:`_flop_table` tabulates the next Q over all 3**6
+combinations of a flop's six pin values, once per pin kind, so a phase
+samples every flop with a gather, a weighted sum and a table take.
 
 Cross-cycle state is resolved by fixed-point iteration: the cycle-``k``
 row starts from cycle ``k-1``'s settled end state, so each batched pass
@@ -35,11 +38,12 @@ row programs (:meth:`repro.netlist.soa.SoaNetlist.pack_levels`: runs of
 consecutive levels merged into one table lookup per output, keyed on at
 most five nets settled before the run, tables composed from the per-gate
 truth tables so the settle is exact), skips applies whose values did
-not change, samples flops only on phases whose affected cone reaches a
-CK/RN pin, and accrues the identical consecutive-snapshot toggle diffs
--- bit-identical state and toggle counts versus driving the event
-simulator through the same protocol.  Fused programs are built lazily
-per cone and never pickled.
+not change, samples flops (the same table lookup, on single rows) only
+on phases whose affected cone reaches a CK/RN pin, and accrues the
+identical consecutive-snapshot toggle diffs (``a + b == 1`` on the
+0/1/X=2 encoding) -- bit-identical state and toggle counts versus
+driving the event simulator through the same protocol.  Fused programs
+and the flop table are built lazily and never pickled.
 """
 
 from __future__ import annotations
@@ -59,8 +63,57 @@ from .testbench import ClockedTestbench
 
 
 def _diff(a, b):
-    """Functional-toggle mask between consecutive settled states."""
-    return (a != b) & (a != X) & (b != X)
+    """Functional-toggle mask between consecutive settled states.
+
+    A toggle is a 0 <-> 1 change; with values in {0, 1, X=2} that is
+    exactly ``a + b == 1`` (``(a != b) & (a != X) & (b != X)`` in two
+    ops -- int8 sums top out at 4, so nothing overflows).
+    """
+    return (a + b) == 1
+
+
+def _flop_rule(ck_old, ck_new, d_pre, en_pre, rn_now, held):
+    """Next Q of a flip-flop from its six pin values, elementwise.
+
+    Replicates the event simulator: RN (async, post-settle) dominates; a
+    rising edge samples the *pre-settle* D/EN; a non-rising change to X
+    drives Q to X; EN==0 holds, EN==X corrupts the sample.  Evaluated
+    once per pin combination by :func:`_flop_table` -- the per-phase
+    sampling is a lookup into that table.
+    """
+    changed = ck_new != ck_old
+    rising = (ck_old == 0) & (ck_new == 1)
+    q_next = np.where(changed & ~rising & (ck_new == X), X, held)
+    d_eff = np.where(en_pre == X, X, d_pre)
+    q_next = np.where(rising & (en_pre != 0), d_eff, q_next)
+    q_next = np.where(rn_now == 0, 0, q_next)
+    q_next = np.where(rn_now == X, X, q_next)
+    return q_next.astype(np.int8)
+
+
+#: Key weights of one flop-sampling lookup: digits 0-2 are CK, D and EN
+#: read from the phase-start row, digits 3-5 CK, RN and Q from the
+#: settled row (``key = base + _PRE_W @ pre3 + _NOW_W @ now3``).
+_PRE_W = np.asarray([1, 3, 9], dtype=np.int64)
+_NOW_W = np.asarray([27, 81, 243], dtype=np.int64)
+_FLOP_KEYS = 3 ** 6
+
+
+def _flop_table():
+    """``(4 * 729,)`` int8 next-Q table, one 729-entry block per pin
+    kind (``kind = has_en + 2 * has_rn``, block base ``kind * 729``).
+
+    An absent EN/RN pin gathers a pad net and its block ignores that
+    digit (reads it as 1, the pin's inactive level) -- the same pad
+    trick :class:`~repro.netlist.soa.RowOp` uses for short leaf lists.
+    """
+    digits = np.arange(_FLOP_KEYS) // 3 ** np.arange(6)[:, None] % 3
+    ck_old, d_pre, en_pre, ck_new, rn_now, held = digits
+    return np.concatenate([
+        _flop_rule(ck_old, ck_new, d_pre,
+                   en_pre if kind & 1 else 1,
+                   rn_now if kind & 2 else 1, held)
+        for kind in range(4)])
 
 
 @dataclass
@@ -108,8 +161,9 @@ class CompiledSchedule:
                                for name, idx in soa.input_ports.items()}
             self._init = self._build_init()
 
-    #: Lazily built caches -- subschedules, flop columns and fused row
-    #: programs -- rebuilt on demand, so never pickled.
+    #: Lazily built caches -- subschedules, flop columns with their
+    #: next-Q table, and fused row programs -- rebuilt on demand, so
+    #: never pickled.
     _LAZY = ("_fo_state", "_fo_clock", "_seq_cols", "_row_state",
              "_row_inputs")
 
@@ -207,53 +261,49 @@ class CompiledSchedule:
         return row[0]
 
     def _sample_flops(self, pre, now):
-        """Vectorized flip-flop sampling for one phase.
+        """Flip-flop sampling for one phase, as one fused table lookup.
 
         ``pre`` holds the phase-start (pre-settle) values, ``now`` the
-        settled values; Q columns of ``now`` are updated in place.
-        Returns True when any Q changed.  Rules replicate the event
-        simulator: RN (async, post-settle) dominates; a rising edge
-        samples the *pre-settle* D/EN; a non-rising change to X drives
-        Q to X; EN==0 holds, EN==X corrupts the sample.
+        settled values -- single ``(n_nets,)`` rows or ``(B, n_nets)``
+        batches; Q columns of ``now`` are updated in place.  Returns
+        True when any Q changed.  Each flop gathers three pins from
+        ``pre`` (CK, D, EN) and three from ``now`` (CK, RN, Q), and one
+        weighted sum keys the :func:`_flop_table` block of its pin kind,
+        so the event simulator's rules (:func:`_flop_rule`) cost a
+        gather, a sum and a take however many flops there are.
         """
-        qcol, ck, dcol, has_en, en_safe, has_rn, rn_safe = \
-            self._seq_columns()
+        qcol, pre_cols, now_cols, base, table = self._seq_columns()
         if not len(qcol):
             return False
-        ck_old = pre[:, ck]
-        ck_new = now[:, ck]
-        d_pre = pre[:, dcol]
-        en_pre = np.where(has_en, pre[:, en_safe], 1)
-        rn_now = np.where(has_rn, now[:, rn_safe], 1)
-
-        held = now[:, qcol]
-        changed = ck_new != ck_old
-        rising = (ck_old == 0) & (ck_new == 1)
-        q_next = np.where(changed & ~rising & (ck_new == X), X, held)
-        d_eff = np.where(en_pre == X, X, d_pre)
-        q_next = np.where(rising & (en_pre != 0), d_eff, q_next)
-        q_next = np.where(rn_now == 0, 0, q_next)
-        q_next = np.where(rn_now == X, X, q_next)
-        q_next = q_next.astype(np.int8)
-        if np.array_equal(q_next, held):
+        now3 = now.take(now_cols, axis=-1)
+        keys = np.dot(_PRE_W, pre.take(pre_cols, axis=-1))
+        keys += np.dot(_NOW_W, now3)
+        keys += base
+        q_next = table.take(keys)
+        if q_next.tobytes() == now3[..., 2, :].tobytes():
             return False
-        now[:, qcol] = q_next
+        now[..., qcol] = q_next
         return True
 
     def _seq_columns(self):
-        """Memoised per-flop column arrays for :meth:`_sample_flops`."""
+        """Memoised ``(Q nets, (3, F) pre columns, (3, F) now columns,
+        per-flop table base, next-Q table)`` for :meth:`_sample_flops`.
+        Absent EN/RN pins pad with net 0 (see :func:`_flop_table`)."""
         cols = getattr(self, "_seq_cols", None)
         if cols is None:
             soa = self.soa
             rows = np.nonzero(soa.seq_q >= 0)[0]
+            qcol = soa.seq_q[rows]
             en = soa.seq_en[rows]
-            has_en = en >= 0
             rn = soa.seq_rn[rows]
-            has_rn = rn >= 0
+            ck = soa.seq_ck[rows]
+            kind = (en >= 0) + 2 * (rn >= 0)
             cols = self._seq_cols = (
-                soa.seq_q[rows], soa.seq_ck[rows], soa.seq_d[rows],
-                has_en, np.where(has_en, en, 0),
-                has_rn, np.where(has_rn, rn, 0))
+                qcol,
+                np.stack([ck, soa.seq_d[rows], np.maximum(en, 0)]),
+                np.stack([ck, np.maximum(rn, 0), qcol]),
+                kind * _FLOP_KEYS,
+                _flop_table())
         return cols
 
     def _phase(self, start, mutate, levels):
@@ -632,11 +682,12 @@ class ClosedLoopStepper:
     # -- phase engine --------------------------------------------------------
 
     def _apply_indexed(self, idx, vals, prog, sample):
-        """One settled phase: set ``vals`` at ``idx``, settle the cone,
-        sample flops when the cone warrants it.  No-op when every value
-        is unchanged (the event simulator drops such events too)."""
+        """One settled phase: set ``vals`` (int8, like the row) at
+        ``idx``, settle the cone, sample flops when the cone warrants
+        it.  No-op when every value is unchanged (the event simulator
+        drops such events too)."""
         start = self._state
-        if np.array_equal(start[idx], vals):
+        if start.take(idx).tobytes() == vals.tobytes():
             return
         soa = self.soa
         pre = start.copy()
@@ -645,7 +696,7 @@ class ClosedLoopStepper:
         post = pre
         if sample:
             post = pre.copy()
-            if self.schedule._sample_flops(start[None, :], post[None, :]):
+            if self.schedule._sample_flops(start, post):
                 soa.eval_row(post, self._state_prog)
             else:
                 post = pre

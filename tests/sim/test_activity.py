@@ -1,10 +1,17 @@
 """Activity recording and the Fig. 7 vector-grouping pipeline."""
 
+import pickle
 import random
 
+import numpy as np
 import pytest
 
-from repro.sim.activity import GroupRecorder, group_activity
+from repro.sim.activity import (
+    GroupActivity,
+    GroupRecorder,
+    group_activity,
+    group_from_delta,
+)
 from repro.sim.testbench import ClockedTestbench, bus_values
 
 
@@ -86,3 +93,45 @@ class TestRecorder:
         rec.flush()
         rec.flush()
         assert len(rec.trace.groups) == 1
+
+
+class TestLazyGroups:
+    """Groups keep a sparse delta and build ``toggles`` on first read."""
+
+    def _delta_group(self, index=0):
+        names = np.asarray(["n0", "n1", "n2", "n3"], dtype=object)
+        delta = np.asarray([0, 3, 0, 1], dtype=np.int64)
+        return group_from_delta(index, 10, delta, names, 4)
+
+    def test_toggles_equal_eager_dict(self):
+        group = self._delta_group()
+        eager = GroupActivity(0, 10, 4, 4, {"n1": 3, "n3": 1})
+        assert group.toggles == {"n1": 3, "n3": 1}
+        assert all(type(v) is int for v in group.toggles.values())
+        assert group == eager and eager == group
+        assert repr(group) == repr(eager)
+
+    def test_equality(self):
+        assert self._delta_group() == self._delta_group()
+        assert self._delta_group(0) != self._delta_group(1)
+        assert GroupActivity(0, 10, 4, 4) == GroupActivity(0, 10, 4, 4, {})
+        assert self._delta_group() != GroupActivity(0, 10, 4, 4, {"n1": 3})
+
+    def test_pickle_round_trip(self):
+        lazy, built = self._delta_group(), self._delta_group()
+        assert built.toggles  # materialised before pickling
+        for group in (lazy, built):
+            back = pickle.loads(pickle.dumps(group))
+            assert back == group
+            assert back.toggles == {"n1": 3, "n3": 1}
+            assert back.switching_probability == group.switching_probability
+
+    def test_recorded_trace_matches_eager(self, mult_module):
+        rng = random.Random(8)
+        trace = group_activity(mult_module, _mult_vectors(rng, 12),
+                               group_size=5)
+        eager = [GroupActivity(g.index, g.cycles, g.total_toggles, g.nets,
+                               dict(g.toggles)) for g in trace.groups]
+        assert trace.groups == eager
+        assert all(sum(g.toggles.values()) == g.total_toggles
+                   for g in trace.groups)
